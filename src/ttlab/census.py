@@ -10,12 +10,18 @@ free and the leaf count is the answer.  The unpruned cross-check
 
 count_partite(n, r, t, mode) counts labelled digraphs admitting *some*
 partition into at most r classes, each class inducing a blowup(2, t)-free
-subdigraph.  Membership is decided per graph: first mark which vertex
-subsets are good (induce a blowup(2, t)-free subdigraph), then ask
-whether the vertex set splits into at most r good classes.  The split
-search anchors the lowest unassigned vertex into the next class, which
-enumerates each candidate partition once instead of all r^n labelled
-assignments; goodness results are memoised per graph.
+subdigraph.  A partition that is good for a digraph stays good when an
+arc is deleted, so the pair walk carries the set of partitions still
+good for the partial digraph as a bitset and drops a partition the
+moment an added arc breaks it.  Only partitions in which the pair shares
+a class of at least 2t vertices are at risk; for t = 1 the arc itself is
+the copy, for t >= 2 the class is rechecked with `chain_exists`.  Two
+cuts follow: a subtree with no surviving partition is worth 0, and once
+a surviving partition has no at-risk pair left below the current depth,
+every completion admits it and the subtree counts in full.  The
+per-graph test `admits_partition` decides the same property from
+scratch (a memoised cover search over good vertex subsets) and serves
+as its independent check.
 
 lower_bound_partite(n, r, t) evaluates the constructive lower bound
 3^(t_r(n)) * 2^E on the oriented partition count: fix the balanced
@@ -169,6 +175,29 @@ def admits_partition(g: Digraph, r: int, t: int) -> bool:
     return _admits(g.out_masks, g.n, r, t)
 
 
+def _partitions(n: int, r: int) -> list[tuple[int, ...]]:
+    """Set partitions of range(n) into at most r nonempty classes, each
+    given as a tuple of class bitmasks (one partition for n = 0)."""
+    found = []
+    classes: list[int] = []
+
+    def place(v: int):
+        if v == n:
+            found.append(tuple(classes))
+            return
+        for c in range(len(classes)):
+            classes[c] |= 1 << v
+            place(v + 1)
+            classes[c] ^= 1 << v
+        if len(classes) < r:
+            classes.append(1 << v)
+            place(v + 1)
+            classes.pop()
+
+    place(0)
+    return found
+
+
 def count_partite(n: int, r: int, t: int, mode: str = DIGRAPH) -> int:
     """Number of labelled digraphs on n vertices admitting an r-partition
     with every class blowup(2, t)-free."""
@@ -180,29 +209,54 @@ def count_partite(n: int, r: int, t: int, mode: str = DIGRAPH) -> int:
     pairs = pair_list(n)
     npairs = len(pairs)
     choices = (NO_ARC, FWD, BWD, BOTH) if mode == DIGRAPH else (NO_ARC, FWD, BWD)
+    partitions = _partitions(n, r)
+    everything = (1 << len(partitions)) - 1
+
+    # at_risk[d]: (class, partitions holding it) for every class of at
+    # least 2t vertices that contains pair d; only those can die there
+    at_risk = []
+    for i, j in pairs:
+        both = 1 << i | 1 << j
+        risk: dict[int, int] = {}
+        for p, classes in enumerate(partitions):
+            for cls in classes:
+                if cls & both == both and cls.bit_count() >= 2 * t:
+                    risk[cls] = risk.get(cls, 0) | 1 << p
+        at_risk.append(tuple(risk.items()))
+
+    # safe[d]: partitions that no pair at index >= d can kill
+    safe = [everything] * (npairs + 1)
+    for d in range(npairs - 1, -1, -1):
+        safe[d] = safe[d + 1]
+        for _, members in at_risk[d]:
+            safe[d] &= ~members
+
     out = [0] * n
-    count = 0
+    width = len(choices)
 
-    def down(d: int):
-        nonlocal count
-        if d == npairs:
-            if _admits(out, n, r, t):
-                count += 1
-            return
+    def down(d: int, alive: int) -> int:
+        if alive & safe[d]:
+            return width ** (npairs - d)
+        if not alive:
+            return 0
         i, j = pairs[d]
-        for s in choices:
-            if s != BWD and s != NO_ARC:
+        total = down(d + 1, alive)  # NO_ARC: nothing can die
+        for s in choices[1:]:
+            if s != BWD:
                 out[i] |= 1 << j
-            if s != FWD and s != NO_ARC:
+            if s != FWD:
                 out[j] |= 1 << i
-            down(d + 1)
-            if s != BWD and s != NO_ARC:
-                out[i] &= ~(1 << j)
-            if s != FWD and s != NO_ARC:
-                out[j] &= ~(1 << i)
+            left = alive
+            for cls, members in at_risk[d]:
+                # for t = 1 the new arc is itself a copy of blowup(2, 1)
+                if left & members and (t == 1 or chain_exists(out, cls, 2, t)):
+                    left &= ~members
+            total += down(d + 1, left)
+            out[i] &= ~(1 << j)
+            out[j] &= ~(1 << i)
+        return total
 
-    down(0)
-    return count
+    return down(0, everything)
 
 
 def lower_bound_partite(n: int, r: int, t: int) -> int:

@@ -13,9 +13,9 @@ Subcommands
   editdist --graph FILE --r R    arc edits to the Turan construction
 
 Global flags (accepted before or after the subcommand): --format
-{text,json,csv}, --cache-dir PATH, --threads INT.  The environment
-variable TTLAB_CACHE_DIR supplies a default cache directory; with no
-cache directory configured nothing is written anywhere.
+{text,json,csv}, --cache-dir PATH.  The environment variable
+TTLAB_CACHE_DIR supplies a default cache directory; with no cache
+directory configured nothing is written anywhere.
 
 Output: text mode is human-readable (gen prints the bare encoding so it
 can be piped into a file for `check`/`editdist`).  JSON mode emits a
@@ -140,9 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output format (default text)")
     common.add_argument("--cache-dir", default=argparse.SUPPRESS,
                         help=f"result cache directory (default ${ENV_CACHE_DIR})")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker threads for enumeration sweeps (reserved; "
-                             "current subcommands run single-threaded)")
 
     parser = argparse.ArgumentParser(
         prog="ttlab",

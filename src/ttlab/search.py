@@ -99,7 +99,9 @@ def extremal(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> Extrem
     """Exact maximum of a*f2 + f1 over blow-up-free digraphs on n vertices.
 
     mode="oriented" restricts the search to digraphs with no digon.
-    Practical up to about n = 8; the hard capacity bound is 16 vertices.
+    Measured on a 2-core Xeon VM: n = 6, T_3^1, digraph takes 4-6 s;
+    n = 7 did not finish in 9 minutes.  The hard capacity bound is 16
+    vertices.
     Forbidding blowup(1, t) is refused: every digraph on >= t vertices
     contains it, so no maximum exists.
     """

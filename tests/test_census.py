@@ -4,8 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ttlab import (
     DIGRAPH,
@@ -107,12 +110,49 @@ def test_count_partite_oriented_frozen():
 
 
 def test_count_partite_matches_assignment_oracle():
+    # r = 1 has a single partition; r = 4 exceeds n for every n here, and
+    # t = 2 leaves classes that can never die, so the walk's early full
+    # count is exercised too
     for mode in (DIGRAPH, ORIENTED):
         for n in range(0, 5):
-            for r in (2, 3):
+            for r in (1, 2, 3, 4):
                 for t in (1, 2):
                     assert count_partite(n, r, t, mode) == \
                         naive_count_partite(n, r, t, mode), (n, r, t, mode)
+
+
+def test_count_partite_n5_frozen_values():
+    # the oriented values agree with the per-leaf cover search of
+    # `admits_partition`; the digraph value took that search 2 minutes
+    assert count_partite(5, 2, 1, ORIENTED) == 5881
+    assert count_partite(5, 2, 2, ORIENTED) == 59049  # 3^10: nothing dies
+    assert count_partite(5, 3, 1, ORIENTED) == 42345
+    assert count_partite(5, 2, 1, DIGRAPH) == 36616
+
+
+# the pruned walk relies on these two properties of admits_partition
+digraphs = st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.lists(st.integers(0, 3), min_size=comb(n, 2), max_size=comb(n, 2))
+    .map(lambda states: Digraph(n, tuple(states))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=digraphs, r=st.integers(1, 3), t=st.integers(1, 2), data=st.data())
+def test_admits_partition_inherited_by_arc_deletion(g, r, t, data):
+    arcs = list(g.arcs())
+    assume(arcs)
+    u, v = data.draw(st.sampled_from(arcs))
+    smaller = Digraph.from_arcs(g.n, [a for a in arcs if a != (u, v)])
+    if admits_partition(g, r, t):
+        assert admits_partition(smaller, r, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=digraphs, r=st.integers(1, 3), t=st.integers(1, 2), data=st.data())
+def test_admits_partition_invariant_under_relabelling(g, r, t, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    relabelled = Digraph.from_arcs(g.n, [(perm[u], perm[v]) for u, v in g.arcs()])
+    assert admits_partition(relabelled, r, t) == admits_partition(g, r, t)
 
 
 def test_partite_graphs_are_free_for_single_vertex_levels():

@@ -180,6 +180,8 @@ def test_usage_errors_exit_two(capsys):
     code, _, _ = invoke(capsys, "ex", "--n", "4", "--k", "3", "--t", "1",
                         "--mode", "sideways")
     assert code == 2
+    code, _, _ = invoke(capsys, "--threads", "2", "gen", "dtr", "--n", "3", "--r", "2")
+    assert code == 2
 
 
 # ----------------------------------------------------------------------
