@@ -93,23 +93,18 @@ def count_free(n: int, spec: BlowupSpec, mode: str = DIGRAPH) -> int:
             count += 1
             return
         i, j = pairs[d]
-        for s in choices:
-            if s == NO_ARC:
-                down(d + 1)
-                continue
-            added = []
+        bi, bj = 1 << i, 1 << j
+        down(d + 1)  # NO_ARC adds nothing to check
+        for s in choices[1:]:
             if s != BWD:
-                out[i] |= 1 << j
-                added.append((i, j))
+                out[i] |= bj
             if s != FWD:
-                out[j] |= 1 << i
-                added.append((j, i))
-            if not any(arc_completes_blowup(out, n, k, t, u, v) for u, v in added):
+                out[j] |= bi
+            if not (s != BWD and arc_completes_blowup(out, n, k, t, i, j)
+                    or s != FWD and arc_completes_blowup(out, n, k, t, j, i)):
                 down(d + 1)
-            if s != BWD:
-                out[i] &= ~(1 << j)
-            if s != FWD:
-                out[j] &= ~(1 << i)
+            out[i] &= ~bj
+            out[j] &= ~bi
 
     down(0)
     return count

@@ -29,11 +29,13 @@ graph file, invalid parameter value); 2 usage error (unknown subcommand
 or flag).
 
 Cache: results are keyed by the SHA-256 of the canonical serialisation
-of {command, params, version}; graph files enter the key by content
-(their TDG string), not by path.  Entries are write-once JSON files,
-written atomically, never modified: a hit replays the stored record
-byte for byte (including the original runtime_ms).  An unwritable cache
-directory is a warning, never a failure.
+of {command, params, version, source}, where source is a SHA-256 of the
+package's own .py files, so a cache written by other code is never
+replayed; graph files enter the key by content (their TDG string), not
+by path.  Entries are write-once JSON files, written atomically, never
+modified: a hit replays the stored record byte for byte (including the
+original runtime_ms).  The record itself does not carry the source
+hash.  An unwritable cache directory is a warning, never a failure.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import cache
 from time import perf_counter
 
 from . import __version__
@@ -81,9 +84,23 @@ class CacheEntry:
     record: dict
 
 
+@cache
+def source_digest() -> str:
+    """SHA-256 over the names and contents of the package's .py files,
+    computed once per process."""
+    h = hashlib.sha256()
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                h.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return h.hexdigest()
+
+
 def cache_key(command: str, params: dict) -> str:
     canon = json.dumps(
-        {"command": command, "params": params, "version": __version__},
+        {"command": command, "params": params, "version": __version__,
+         "source": source_digest()},
         sort_keys=True, separators=(",", ":"),
     )
     return hashlib.sha256(canon.encode()).hexdigest()

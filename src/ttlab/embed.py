@@ -234,75 +234,113 @@ def arc_completes_blowup(out_masks, n: int, k: int, t: int, u: int, v: int) -> b
     between-level arc onto u -> v, i.e. place u before v.  Copies putting
     u and v on a common level need no arc between them and would have
     existed before the arc was added.
+
+    For t = 1 a copy is a transitive tournament on k vertices, and the
+    other k - 2 vertices fall into three regions: before u
+    (in[u] & in[v]), between u and v (out[u] & in[v]) and after v
+    (out[u] & out[v]).  A copy exists iff u -> v is an arc and some chain
+    of k - 2 vertices visits the regions in that order, each vertex in
+    the out-mask of every earlier one (`_ordered_chain`); for k = 3 that
+    is one nonempty region.  Larger t runs the level-chain search with
+    u and v pending in turn.
     """
     if k < 2 or k * t > n:
         return False
-    full = (1 << n) - 1
+    if t == 1:
+        out_u, out_v = out_masks[u], out_masks[v]
+        if not out_u >> v & 1:
+            return False
+        if k == 2:
+            return True
+        bu, bv = 1 << u, 1 << v
+        in_u = in_v = 0
+        for w in range(n):
+            m = out_masks[w]
+            if m & bu:
+                in_u |= 1 << w
+            if m & bv:
+                in_v |= 1 << w
+        before, between, after = in_u & in_v, out_u & in_v, out_u & out_v
+        if k == 3:
+            return bool(before | between | after)
+        return _ordered_chain(out_masks, (before, between, after),
+                              (before | between | after, between | after, after),
+                              0, (1 << n) - 1, k - 2, {})
+    return _pending_chain(out_masks, n, k, t, u, v)
+
+
+def _ordered_chain(out_masks, regions, suffix, r: int, allowed: int, left: int,
+                   memo: dict) -> bool:
+    """Is there a chain of `left` vertices inside `allowed`, each in the
+    out-mask of every earlier one, whose regions never go back past
+    regions[r]?  suffix[r] is the union of regions[r:]."""
+    m = suffix[r] & allowed
+    if m.bit_count() < left:
+        return False
+    if left == 1:
+        return True
+    key = (r, allowed, left)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    result = False
+    while m:
+        low = m & -m
+        m ^= low
+        # the earliest region that holds w keeps the most room for the rest
+        rw = r
+        while not regions[rw] & low:
+            rw += 1
+        if _ordered_chain(out_masks, regions, suffix, rw,
+                          allowed & out_masks[low.bit_length() - 1], left - 1, memo):
+            result = True
+            break
+    memo[key] = result
+    return result
+
+
+def _pending_chain(out_masks, n: int, k: int, t: int, u: int, v: int) -> bool:
+    """The level-chain search of `chain_exists`, with u and then v waiting
+    to be placed: phase p means the first p of (u, v) sit on earlier
+    levels.  A level either hosts the next pending vertex or avoids both."""
+    need = (1 << u | 1 << v, 1 << v, 0)
+    # per phase, the ways to fill a level: (out-mask of the pending vertex
+    # it hosts, or -1 for none; vertices still to choose; next phase)
+    fills = (((out_masks[u], t - 1, 1), (-1, t, 0)),
+             ((out_masks[v], t - 1, 2), (-1, t, 1)),
+             ((-1, t, 2),))
     memo: dict[tuple[int, int, int], bool] = {}
 
-    # phase 0: u unplaced; phase 1: u placed, v pending; phase 2: both placed
     def can(allowed: int, r: int, phase: int) -> bool:
         if r == 0:
             return phase == 2
-        if allowed.bit_count() < r * t:
-            return False
-        if phase == 0 and (not allowed >> u & 1 or r < 2):
-            return False
-        if phase <= 1 and not allowed >> v & 1:
+        if allowed.bit_count() < r * t or r < 2 - phase or allowed & need[phase] != need[phase]:
             return False
         key = (allowed, r, phase)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        result = False
-        if phase == 0:
-            pool = allowed & ~(1 << u) & ~(1 << v)
-        elif phase == 1:
-            pool = allowed & ~(1 << v)
-        else:
-            pool = allowed
         bits = []
-        m = pool
+        m = allowed & ~need[phase]
         while m:
             bits.append((m & -m).bit_length() - 1)
             m &= m - 1
-
-        def descend(sel, nxt_phase):
-            nxt = allowed
-            for w in sel:
-                nxt &= out_masks[w]
-            return can(nxt, r - 1, nxt_phase)
-
-        if phase == 0:
-            # either this level hosts u (v comes later), or it precedes u
-            for rest in combinations(bits, t - 1):
-                if descend((u, *rest), 1):
+        result = False
+        for head_out, size, nxt_phase in fills[phase]:
+            base = allowed & head_out
+            for rest in combinations(bits, size):
+                nxt = base
+                for w in rest:
+                    nxt &= out_masks[w]
+                if can(nxt, r - 1, nxt_phase):
                     result = True
                     break
-            if not result:
-                for sel in combinations(bits, t):
-                    if descend(sel, 0):
-                        result = True
-                        break
-        elif phase == 1:
-            for rest in combinations(bits, t - 1):
-                if descend((v, *rest), 2):
-                    result = True
-                    break
-            if not result:
-                for sel in combinations(bits, t):
-                    if descend(sel, 1):
-                        result = True
-                        break
-        else:
-            for sel in combinations(bits, t):
-                if descend(sel, 2):
-                    result = True
-                    break
+            if result:
+                break
         memo[key] = result
         return result
 
-    return can(full, k, 0)
+    return can((1 << n) - 1, k, 0)
 
 
 # ======================================================================

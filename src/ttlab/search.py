@@ -7,8 +7,10 @@ The search is a branch and bound over pair states:
 * pairs are decided in the canonical lexicographic order, states tried
   densest-first (BOTH, FWD, BWD, NO_ARC; oriented mode drops BOTH);
 * a node is pruned when even granting every undecided pair the maximum
-  state weight cannot beat the incumbent (compared exactly, never in
-  floating point);
+  state weight cannot beat the incumbent (compared exactly on the
+  integer keys of `Weight`, tabulated once per call, never in floating
+  point); states later in the order can only do worse, so the first
+  failing state ends the level;
 * freeness is maintained incrementally: a newly decided arc u -> v is
   legal iff no copy of the blow-up places u strictly before v, which
   `embed.arc_completes_blowup` decides on the decided arcs only;
@@ -99,9 +101,9 @@ def extremal(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> Extrem
     """Exact maximum of a*f2 + f1 over blow-up-free digraphs on n vertices.
 
     mode="oriented" restricts the search to digraphs with no digon.
-    Measured on a 2-core Xeon VM: n = 6, T_3^1, digraph takes 4-6 s;
-    n = 7 did not finish in 9 minutes.  The hard capacity bound is 16
-    vertices.
+    Measured on a 2-core Xeon VM at a = 2, digraph mode: n = 6, T_3^1
+    takes about 0.6 s (167,205 nodes) and n = 7 about 2 minutes
+    (23,770,251 nodes).  The hard capacity bound is 16 vertices.
     Forbidding blowup(1, t) is refused: every digraph on >= t vertices
     contains it, so no maximum exists.
     """
@@ -121,7 +123,10 @@ def extremal(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> Extrem
     if not is_free(start, spec):  # cannot happen; guard the incumbent anyway
         start = Digraph.empty(n)
 
+    # exact comparison keys of every reachable (f1, f2), f1 + f2 <= C(n, 2)
+    keys = [[a._key(f1, f2) for f2 in range(npairs + 1 - f1)] for f1 in range(npairs + 1)]
     best_f1, best_f2 = start.f1, start.f2
+    best_key = keys[best_f1][best_f2]
     best_states = start.states
     state_choices = (BOTH, FWD, BWD, NO_ARC) if mode == DIGRAPH else (FWD, BWD, NO_ARC)
 
@@ -130,12 +135,13 @@ def extremal(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> Extrem
     explored = 1  # the root
 
     def down(d: int, f1: int, f2: int):
-        nonlocal best_f1, best_f2, best_states, explored
+        nonlocal best_f1, best_f2, best_key, best_states, explored
         if d == npairs:
             # pruning admitted this leaf, so it strictly beats the incumbent
-            best_f1, best_f2, best_states = f1, f2, tuple(states)
+            best_f1, best_f2, best_key, best_states = f1, f2, keys[f1][f2], tuple(states)
             return
         i, j = pairs[d]
+        bi, bj = 1 << i, 1 << j
         rem = npairs - d - 1
         for s in state_choices:
             nf1, nf2 = f1, f2
@@ -143,29 +149,26 @@ def extremal(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> Extrem
                 nf2 += 1
             elif s != NO_ARC:
                 nf1 += 1
-            bound = (nf1, nf2 + rem) if mode == DIGRAPH else (nf1 + rem, nf2)
-            if a.compare(bound, (best_f1, best_f2)) <= 0:
-                continue
+            bound = keys[nf1][nf2 + rem] if mode == DIGRAPH else keys[nf1 + rem][nf2]
+            if bound <= best_key:
+                # states come densest first, so no later state can do better
+                break
             if s == NO_ARC:
                 states[d] = s
                 explored += 1
                 down(d + 1, nf1, nf2)
                 continue
-            added = []
             if s != BWD:
-                out[i] |= 1 << j
-                added.append((i, j))
+                out[i] |= bj
             if s != FWD:
-                out[j] |= 1 << i
-                added.append((j, i))
-            if not any(arc_completes_blowup(out, n, k, t, u, v) for u, v in added):
+                out[j] |= bi
+            if not (s != BWD and arc_completes_blowup(out, n, k, t, i, j)
+                    or s != FWD and arc_completes_blowup(out, n, k, t, j, i)):
                 states[d] = s
                 explored += 1
                 down(d + 1, nf1, nf2)
-            if s != BWD:
-                out[i] &= ~(1 << j)
-            if s != FWD:
-                out[j] &= ~(1 << i)
+            out[i] &= ~bj
+            out[j] &= ~bi
         states[d] = NO_ARC
 
     down(0, 0, 0)

@@ -130,6 +130,19 @@ def test_count_partite_n5_frozen_values():
     assert count_partite(5, 2, 1, DIGRAPH) == 36616
 
 
+def test_one_class_partite_count_equals_free_count():
+    # with r = 1 the only partition is V itself, so count_partite counts
+    # the blowup(2, t)-free digraphs; for t = 2 every dying partition goes
+    # through the chain_exists recheck
+    for mode in (DIGRAPH, ORIENTED):
+        for n in range(6):
+            for t in (1, 2):
+                assert count_partite(n, 1, t, mode) == count_free(n, BlowupSpec(2, t), mode), \
+                    (n, t, mode)
+    assert count_partite(5, 1, 2, ORIENTED) == 42539
+    assert count_partite(5, 1, 2, DIGRAPH) == 301826
+
+
 # the pruned walk relies on these two properties of admits_partition
 digraphs = st.integers(min_value=0, max_value=6).flatmap(
     lambda n: st.lists(st.integers(0, 3), min_size=comb(n, 2), max_size=comb(n, 2))

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from ttlab import __version__
+from ttlab import __version__, cli
 from ttlab.cli import cache_key, run
 
 
@@ -205,6 +205,25 @@ def test_cache_key_depends_on_params_and_version():
     b = cache_key("ex", {"n": 5, "k": 3, "t": 1, "weight": "2", "mode": "digraph"})
     assert a != b
     assert len(a) == 64 and all(c in "0123456789abcdef" for c in a)
+
+
+def test_cache_key_changes_with_package_source(tmp_path, capsys, monkeypatch):
+    params = {"n": 4, "k": 3, "t": 1, "weight": "2", "mode": "digraph"}
+    current = cache_key("ex", params)
+    assert cli.source_digest() == cli.source_digest()  # stable within a process
+    monkeypatch.setattr(cli, "source_digest", lambda: "0" * 64)
+    assert cache_key("ex", params) != current
+    # an entry written by other sources is not replayed, and the stored
+    # record carries no trace of the source hash
+    cache = str(tmp_path / "cache")
+    args = ("ex", "--n", "4", "--k", "3", "--t", "1", "--format", "json", "--cache-dir", cache)
+    _, old_out, _ = invoke(capsys, *args)
+    monkeypatch.undo()
+    _, new_out, _ = invoke(capsys, *args)
+    assert len(os.listdir(cache)) == 2
+    old_rec, new_rec = json.loads(old_out), json.loads(new_out)
+    assert sorted(new_rec) == ["command", "params", "result", "runtime_ms", "version"]
+    assert new_rec["version"] == old_rec["version"] == __version__
 
 
 def test_cache_entries_accumulate_per_params(tmp_path, capsys):

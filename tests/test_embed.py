@@ -11,6 +11,8 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttlab import (
     BlowupSpec,
@@ -182,6 +184,45 @@ def test_arc_completes_blowup_against_enumeration():
         got = arc_completes_blowup(g.out_masks, n, k, t, u, v)
         assert got == brute_completes(g, k, t, u, v)
         cases += 1
+    # t = 1 takes the region test: sparser hosts up to 7 vertices, both
+    # answers, and hosts that lack the arc u -> v itself
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(2, 7)
+        density = rng.choice((0.3, 0.5, 0.7, 0.95))
+        g = Digraph(n, tuple(rng.choice((1, 2, 3)) if rng.random() < density else 0
+                             for _ in range(n * (n - 1) // 2)))
+        u, v = rng.sample(range(n), 2)
+        if rng.random() < 0.9 and not g.has_arc(u, v):
+            g = add_arc(g, u, v)
+        k = rng.randint(2, 5)
+        got = arc_completes_blowup(g.out_masks, n, k, 1, u, v)
+        assert got == brute_completes(g, k, 1, u, v), (g, k, u, v)
+        seen.add((k, got))
+    assert seen == {(k, b) for k in range(2, 6) for b in (False, True)}
+    # 3 sits both before u = 0 and after v = 1; reached after 2 (after v)
+    # it must stay after v, so 4 (before u) cannot follow it
+    g = Digraph.from_arcs(6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 0), (1, 3), (3, 1),
+                              (2, 3), (4, 0), (4, 1), (2, 4), (3, 4), (0, 5), (1, 5), (2, 5)])
+    assert not arc_completes_blowup(g.out_masks, 6, 5, 1, 0, 1)
+    assert not brute_completes(g, 5, 1, 0, 1)
+
+
+hosts = st.integers(min_value=2, max_value=7).flatmap(
+    lambda n: st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2,
+                       max_size=n * (n - 1) // 2)
+    .map(lambda states: Digraph(n, tuple(states))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=hosts, k=st.integers(2, 5), t=st.integers(1, 2), data=st.data())
+def test_arc_completes_blowup_invariant_under_relabelling(g, k, t, data):
+    u, v = data.draw(st.permutations(range(g.n)))[:2]
+    perm = data.draw(st.permutations(range(g.n)))
+    relabelled = Digraph.from_arcs(g.n, [(perm[x], perm[y]) for x, y in g.arcs()])
+    assert arc_completes_blowup(relabelled.out_masks, g.n, k, t, perm[u], perm[v]) == \
+        arc_completes_blowup(g.out_masks, g.n, k, t, u, v)
 
 
 def test_incremental_check_tracks_freeness_along_arc_insertions():

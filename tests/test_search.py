@@ -16,6 +16,7 @@ from ttlab import (
     Weight,
     blowup,
     edit_distance_to_dtr,
+    encode,
     extremal,
     extremal_naive,
     is_free,
@@ -109,6 +110,26 @@ def test_extremal_is_deterministic():
     second = extremal(5, BlowupSpec(3, 1), Weight.log2_3())
     assert first.witness == second.witness
     assert first.explored == second.explored
+
+
+# (n, k, t, weight, mode) -> (explored, witness encoding); a change to the
+# cost per node must leave both alone
+FROZEN_SEARCHES = {
+    (6, 3, 1, "2", DIGRAPH): (167205, encode(make_dtr(6, 2))),
+    (6, 4, 1, "2", DIGRAPH): (42476, "TDG 6 033333333033330"),
+    (6, 3, 2, "2", DIGRAPH): (1761, "TDG 6 333333333333121"),
+    (5, 3, 1, "log3", DIGRAPH): (7571, "TDG 5 0033033330"),
+    (5, 2, 2, "7/4", DIGRAPH): (16828, "TDG 5 3312122111"),
+    (6, 3, 1, "2", ORIENTED): (4913, "TDG 6 112200112112011"),
+    (6, 2, 2, "2", ORIENTED): (1671, "TDG 6 111221211112211"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_SEARCHES))
+def test_extremal_explored_and_witness_frozen(case):
+    n, k, t, w, mode = case
+    res = extremal(n, BlowupSpec(k, t), Weight.parse(w), mode)
+    assert (res.explored, encode(res.witness)) == FROZEN_SEARCHES[case]
 
 
 def test_naive_reports_lexicographically_first_optimum():
