@@ -1,8 +1,9 @@
 """Labelled counting: free digraphs versus partition-structured ones.
 
 count_free(n, spec, mode) counts labelled digraphs on n vertices with no
-copy of the forbidden blow-up.  It walks the state-space tree depth
-first, deciding one pair per level, and abandons a subtree the moment a
+copy of the forbidden blow-up.  It runs `search._free_walk`, the walk
+that also carries the `extremal` branch and bound, with no bound: the
+walk decides one pair per level and abandons a subtree the moment a
 newly added arc completes a copy (adding further arcs can never remove
 one, so nothing below a hit is free).  Every leaf reached is therefore
 free and the leaf count is the answer.  The unpruned cross-check
@@ -15,7 +16,9 @@ arc is deleted, so the pair walk carries the set of partitions still
 good for the partial digraph as a bitset and drops a partition the
 moment an added arc breaks it.  Only partitions in which the pair shares
 a class of at least 2t vertices are at risk; for t = 1 the arc itself is
-the copy, for t >= 2 the class is rechecked with `chain_exists`.  Two
+the copy, for t >= 2 the class is rechecked with `chain_exists`.  This
+walk keeps its own loop over the same PAIR_CHOICES table: it checks no
+freeness and carries the partition bitset with cuts of its own.  Two
 cuts follow: a subtree with no surviving partition is worth 0, and once
 a surviving partition has no at-risk pair left below the current depth,
 every completion admits it and the subtree counts in full.  The
@@ -39,11 +42,7 @@ from fractions import Fraction
 
 from . import oracle
 from .core import (
-    BOTH,
-    BWD,
     DIGRAPH,
-    FWD,
-    NO_ARC,
     ORIENTED,
     BlowupSpec,
     CapacityError,
@@ -53,8 +52,8 @@ from .core import (
     require_mode,
     turan_edges,
 )
-from .embed import arc_completes_blowup, chain_exists
-from .search import extremal
+from .embed import chain_exists
+from .search import PAIR_CHOICES, _free_walk, extremal
 
 
 def _check_census_capacity(n: int, mode: str, what: str):
@@ -72,42 +71,14 @@ def _check_census_capacity(n: int, mode: str, what: str):
 def count_free(n: int, spec: BlowupSpec, mode: str = DIGRAPH) -> int:
     """Number of labelled blow-up-free digraphs on n vertices."""
     _check_census_capacity(n, mode, "count_free")
-    k, t = spec.k, spec.t
-    if k == 1:
+    total = len(PAIR_CHOICES[mode]) ** len(pair_list(n))
+    if spec.k == 1:
         # no arcs needed: the pattern sits in any digraph with >= t vertices
-        total = (4 if mode == DIGRAPH else 3) ** len(pair_list(n))
-        return 0 if n >= t else total
-    if k * t > n:
+        return 0 if n >= spec.t else total
+    if spec.vertex_count > n:
         # the pattern cannot fit, so every digraph counts
-        return (4 if mode == DIGRAPH else 3) ** len(pair_list(n))
-
-    pairs = pair_list(n)
-    npairs = len(pairs)
-    choices = (NO_ARC, FWD, BWD, BOTH) if mode == DIGRAPH else (NO_ARC, FWD, BWD)
-    out = [0] * n
-    count = 0
-
-    def down(d: int):
-        nonlocal count
-        if d == npairs:
-            count += 1
-            return
-        i, j = pairs[d]
-        bi, bj = 1 << i, 1 << j
-        down(d + 1)  # NO_ARC adds nothing to check
-        for s in choices[1:]:
-            if s != BWD:
-                out[i] |= bj
-            if s != FWD:
-                out[j] |= bi
-            if not (s != BWD and arc_completes_blowup(out, n, k, t, i, j)
-                    or s != FWD and arc_completes_blowup(out, n, k, t, j, i)):
-                down(d + 1)
-            out[i] &= ~bj
-            out[j] &= ~bi
-
-    down(0)
-    return count
+        return total
+    return _free_walk(n, spec, mode)[0]
 
 
 def count_free_naive(n: int, spec: BlowupSpec, mode: str = DIGRAPH,
@@ -203,7 +174,7 @@ def count_partite(n: int, r: int, t: int, mode: str = DIGRAPH) -> int:
 
     pairs = pair_list(n)
     npairs = len(pairs)
-    choices = (NO_ARC, FWD, BWD, BOTH) if mode == DIGRAPH else (NO_ARC, FWD, BWD)
+    choices = PAIR_CHOICES[mode]
     partitions = _partitions(n, r)
     everything = (1 << len(partitions)) - 1
 
@@ -235,11 +206,11 @@ def count_partite(n: int, r: int, t: int, mode: str = DIGRAPH) -> int:
         if not alive:
             return 0
         i, j = pairs[d]
-        total = down(d + 1, alive)  # NO_ARC: nothing can die
-        for s in choices[1:]:
-            if s != BWD:
+        total = down(d + 1, alive)  # NO_ARC, last in the table: nothing can die
+        for fwd, bwd, _, _ in choices[:-1]:
+            if fwd:
                 out[i] |= 1 << j
-            if s != FWD:
+            if bwd:
                 out[j] |= 1 << i
             left = alive
             for cls, members in at_risk[d]:

@@ -285,12 +285,9 @@ def make_dtr(n: int, r: int) -> Digraph:
     """Bidirected Turan digraph: balanced complete r-partite, every edge a
     digon.  Parts are consecutive vertex blocks, larger parts first, so
     the construction (and its encoding) is canonical."""
-    sizes = turan_part_sizes(n, r)
+    part = turan_partition(n, r).assign
     if n > MAX_VERTICES:
         raise CapacityError(f"{n} vertices exceeds the capacity bound {MAX_VERTICES}")
-    part = []
-    for p, s in enumerate(sizes):
-        part.extend([p] * s)
     states = tuple(
         BOTH if part[i] != part[j] else NO_ARC
         for i, j in pair_list(n)
@@ -517,7 +514,7 @@ def decode(text: str) -> Digraph:
     while end < len(text) and text[end] != " ":
         end += 1
     ntok = text[pos:end]
-    if not ntok.isdigit():
+    if not (ntok.isascii() and ntok.isdigit()):
         raise TdgParseError("expected a decimal vertex count", pos)
     n = int(ntok)
     if n > MAX_VERTICES:

@@ -54,61 +54,51 @@ def _in_masks(g: Digraph) -> list[int]:
     return masks
 
 
-def _candidates(g: Digraph, h: Digraph) -> list[list[int]]:
-    """Per H-vertex candidate images, filtered by out/in-degree bounds."""
-    g_in = _in_masks(g)
-    h_in = _in_masks(h)
-    cand = []
-    for u in range(h.n):
-        od, idg = h.out_masks[u].bit_count(), h_in[u].bit_count()
-        cand.append([
-            w for w in range(g.n)
-            if g.out_masks[w].bit_count() >= od and g_in[w].bit_count() >= idg
-        ])
-    return cand
+def _embeddings(g: Digraph, h: Digraph):
+    """Yield every embedding of H into G in lexicographic map order:
+    H-vertices are assigned in index order, images tried in increasing
+    order.  Each embedding is the list of images, reused between yields."""
+    if h.n > g.n:
+        return
+    g_out, g_in, h_in = g.out_masks, _in_masks(g), _in_masks(h)
+    # candidate images of each H-vertex, filtered by out/in-degree bounds
+    cand = [[w for w in range(g.n)
+             if g_out[w].bit_count() >= h.out_masks[u].bit_count()
+             and g_in[w].bit_count() >= h_in[u].bit_count()]
+            for u in range(h.n)]
+    image = [-1] * h.n
+
+    def place(u: int, used: int):
+        # images of the earlier H-vertices that u sends an arc to / gets one from
+        need_out = need_in = 0
+        for v in range(u):
+            if h.has_arc(u, v):
+                need_out |= 1 << image[v]
+            if h.has_arc(v, u):
+                need_in |= 1 << image[v]
+        for w in cand[u]:
+            if used >> w & 1 or g_out[w] & need_out != need_out or g_in[w] & need_in != need_in:
+                continue
+            image[u] = w
+            if u + 1 == h.n:
+                yield image
+            else:
+                yield from place(u + 1, used | 1 << w)
+
+    if h.n == 0:
+        yield image
+    else:
+        yield from place(0, 0)
 
 
 def contains(g: Digraph, h: Digraph) -> Embedding | None:
     """First embedding of H into G in lexicographic map order, or None.
 
-    H-vertices are assigned in index order with images tried in increasing
-    order, so the witness returned is the lexicographically least
-    injective arc-preserving map (deterministic across runs).
+    The witness returned is the lexicographically least injective
+    arc-preserving map (deterministic across runs).
     """
-    if h.n > g.n:
-        return None
-    if h.n == 0:
-        return Embedding(())
-    cand = _candidates(g, h)
-    image = [-1] * h.n
-    used = 0
-
-    def place(u: int) -> bool:
-        nonlocal used
-        for w in cand[u]:
-            if used >> w & 1:
-                continue
-            ok = True
-            for v in range(u):
-                if h.has_arc(u, v) and not g.has_arc(w, image[v]):
-                    ok = False
-                    break
-                if h.has_arc(v, u) and not g.has_arc(image[v], w):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[u] = w
-            used |= 1 << w
-            if u + 1 == h.n or place(u + 1):
-                return True
-            used &= ~(1 << w)
-        image[u] = -1
-        return False
-
-    if place(0):
-        return Embedding(tuple(image))
-    return None
+    image = next(_embeddings(g, h), None)
+    return None if image is None else Embedding(tuple(image))
 
 
 def count_embeddings(g: Digraph, h: Digraph) -> int:
@@ -121,41 +111,7 @@ def count_embeddings(g: Digraph, h: Digraph) -> int:
         raise CapacityError(
             f"embedding counts are exhaustive and capped at {COUNT_MAX_VERTICES} host vertices"
         )
-    if h.n > g.n:
-        return 0
-    if h.n == 0:
-        return 1
-    cand = _candidates(g, h)
-    image = [-1] * h.n
-    used = 0
-    total = 0
-
-    def place(u: int):
-        nonlocal used, total
-        for w in cand[u]:
-            if used >> w & 1:
-                continue
-            ok = True
-            for v in range(u):
-                if h.has_arc(u, v) and not g.has_arc(w, image[v]):
-                    ok = False
-                    break
-                if h.has_arc(v, u) and not g.has_arc(image[v], w):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if u + 1 == h.n:
-                total += 1
-            else:
-                image[u] = w
-                used |= 1 << w
-                place(u + 1)
-                used &= ~(1 << w)
-                image[u] = -1
-
-    place(0)
-    return total
+    return sum(1 for _ in _embeddings(g, h))
 
 
 def automorphism_count(h: Digraph) -> int:

@@ -2,18 +2,21 @@
 
 extremal(n, spec, a) maximises the weighted size a*f2 + f1 over all
 digraphs on n vertices containing no copy of blowup(spec.k, spec.t).
-The search is a branch and bound over pair states:
+The search is a branch and bound over pair states, run on `_free_walk`,
+the depth-first walk over free digraphs that `census.count_free` also
+uses:
 
 * pairs are decided in the canonical lexicographic order, states tried
-  densest-first (BOTH, FWD, BWD, NO_ARC; oriented mode drops BOTH);
-* a node is pruned when even granting every undecided pair the maximum
-  state weight cannot beat the incumbent (compared exactly on the
-  integer keys of `Weight`, tabulated once per call, never in floating
-  point); states later in the order can only do worse, so the first
-  failing state ends the level;
+  densest-first (BOTH, FWD, BWD, NO_ARC; oriented mode drops BOTH), as
+  listed in PAIR_CHOICES;
 * freeness is maintained incrementally: a newly decided arc u -> v is
   legal iff no copy of the blow-up places u strictly before v, which
   `embed.arc_completes_blowup` decides on the decided arcs only;
+* extremal adds a bound: a node is pruned when even granting every
+  undecided pair the maximum state weight cannot beat the incumbent
+  (compared exactly on the integer keys of `Weight`, tabulated once per
+  call, never in floating point); states later in the order can only do
+  worse, so the first failing state ends the level;
 * the incumbent starts at the bidirected Turan digraph make_dtr(n, k-1)
   (oriented mode: the same partition with all cross arcs pointing
   forward), so the search begins from the construction conjectured to
@@ -44,6 +47,7 @@ from .core import (
     FWD,
     MAX_VERTICES,
     NO_ARC,
+    ORIENTED,
     BlowupSpec,
     CapacityError,
     Digraph,
@@ -83,18 +87,61 @@ class EditDistanceResult:
     partition: Partition
 
 
-def _forward_turan(n: int, r: int) -> Digraph:
-    """Balanced complete r-partite digraph with every cross arc pointing
-    from the lower-numbered part to the higher (an oriented graph)."""
-    sizes = turan_part_sizes(n, r)
-    part = []
-    for p, s in enumerate(sizes):
-        part.extend([p] * s)
-    states = tuple(
-        FWD if part[i] != part[j] else NO_ARC
-        for i, j in pair_list(n)
-    )
-    return Digraph(n, states)
+#: the states a pair may take in each mode, densest first, as
+#: (arc i -> j, arc j -> i, single arcs added, digons added)
+PAIR_CHOICES = {
+    DIGRAPH: ((1, 1, 0, 1), (1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 0, 0)),  # BOTH, FWD, BWD, NO_ARC
+    ORIENTED: ((1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 0, 0)),  # FWD, BWD, NO_ARC
+}
+
+
+def _free_walk(n: int, spec: BlowupSpec, mode: str, bound=None, leaf=None) -> tuple[int, int]:
+    """Depth-first walk over the spec-free digraphs on n vertices.
+
+    Pairs are decided in `pair_list` order, each trying the states of
+    PAIR_CHOICES[mode] in turn.  A child is skipped when one of its new
+    arcs completes a copy (checked i -> j, then j -> i); nothing below a
+    copy is free, so every leaf reached is free.  bound(d, f1, f2), with
+    f1 and f2 counted after deciding pair d, is asked before the check,
+    and a True answer ends the level.  leaf(out_masks, f1, f2) is called
+    at every leaf.  Returns (leaves, explored), where explored counts the
+    root and every child entered.
+    """
+    k, t = spec.k, spec.t
+    pairs = pair_list(n)
+    npairs = len(pairs)
+    choices = PAIR_CHOICES[mode]
+    out = [0] * n
+    leaves = 0
+    explored = 1  # the root
+
+    def down(d: int, f1: int, f2: int):
+        nonlocal leaves, explored
+        if d == npairs:
+            leaves += 1
+            if leaf is not None:
+                leaf(out, f1, f2)
+            return
+        i, j = pairs[d]
+        oi, oj = out[i], out[j]
+        for fwd, bwd, d1, d2 in choices:
+            nf1 = f1 + d1
+            nf2 = f2 + d2
+            if bound is not None and bound(d, nf1, nf2):
+                break
+            if fwd:
+                out[i] = oi | 1 << j
+            if bwd:
+                out[j] = oj | 1 << i
+            if not (fwd and arc_completes_blowup(out, n, k, t, i, j)
+                    or bwd and arc_completes_blowup(out, n, k, t, j, i)):
+                explored += 1
+                down(d + 1, nf1, nf2)
+            out[i] = oi
+            out[j] = oj
+
+    down(0, 0, 0)
+    return leaves, explored
 
 
 def extremal(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> ExtremalResult:
@@ -115,11 +162,13 @@ def extremal(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> Extrem
     if spec.k < 2:
         raise ValueError("forbidding a k=1 blow-up leaves no free digraphs to maximise over")
 
-    k, t = spec.k, spec.t
     pairs = pair_list(n)
     npairs = len(pairs)
 
-    start = make_dtr(n, k - 1) if mode == DIGRAPH else _forward_turan(n, k - 1)
+    start = make_dtr(n, spec.k - 1)
+    if mode != DIGRAPH:
+        # the same partition with every cross arc pointing forward
+        start = Digraph(n, tuple(s & FWD for s in start.states))
     if not is_free(start, spec):  # cannot happen; guard the incumbent anyway
         start = Digraph.empty(n)
 
@@ -128,50 +177,21 @@ def extremal(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> Extrem
     best_f1, best_f2 = start.f1, start.f2
     best_key = keys[best_f1][best_f2]
     best_states = start.states
-    state_choices = (BOTH, FWD, BWD, NO_ARC) if mode == DIGRAPH else (FWD, BWD, NO_ARC)
+    digraph = mode == DIGRAPH
 
-    states = [NO_ARC] * npairs
-    out = [0] * n
-    explored = 1  # the root
-
-    def down(d: int, f1: int, f2: int):
-        nonlocal best_f1, best_f2, best_key, best_states, explored
-        if d == npairs:
-            # pruning admitted this leaf, so it strictly beats the incumbent
-            best_f1, best_f2, best_key, best_states = f1, f2, keys[f1][f2], tuple(states)
-            return
-        i, j = pairs[d]
-        bi, bj = 1 << i, 1 << j
+    def bound(d: int, f1: int, f2: int) -> bool:
+        # granting every undecided pair its densest state cannot beat the
+        # incumbent; states come densest first, so no later one can either
         rem = npairs - d - 1
-        for s in state_choices:
-            nf1, nf2 = f1, f2
-            if s == BOTH:
-                nf2 += 1
-            elif s != NO_ARC:
-                nf1 += 1
-            bound = keys[nf1][nf2 + rem] if mode == DIGRAPH else keys[nf1 + rem][nf2]
-            if bound <= best_key:
-                # states come densest first, so no later state can do better
-                break
-            if s == NO_ARC:
-                states[d] = s
-                explored += 1
-                down(d + 1, nf1, nf2)
-                continue
-            if s != BWD:
-                out[i] |= bj
-            if s != FWD:
-                out[j] |= bi
-            if not (s != BWD and arc_completes_blowup(out, n, k, t, i, j)
-                    or s != FWD and arc_completes_blowup(out, n, k, t, j, i)):
-                states[d] = s
-                explored += 1
-                down(d + 1, nf1, nf2)
-            out[i] &= ~bj
-            out[j] &= ~bi
-        states[d] = NO_ARC
+        return (keys[f1][f2 + rem] if digraph else keys[f1 + rem][f2]) <= best_key
 
-    down(0, 0, 0)
+    def leaf(out, f1: int, f2: int):
+        # pruning admitted this leaf, so it strictly beats the incumbent
+        nonlocal best_f1, best_f2, best_key, best_states
+        best_f1, best_f2, best_key = f1, f2, keys[f1][f2]
+        best_states = tuple((out[i] >> j & 1) | (out[j] >> i & 1) << 1 for i, j in pairs)
+
+    _, explored = _free_walk(n, spec, mode, bound, leaf)
     return ExtremalResult(
         n=n, spec=spec, weight=a, mode=mode,
         best=WeightedValue(best_f1, best_f2, a),

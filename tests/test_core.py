@@ -308,6 +308,8 @@ def test_encode_distinguishes_all_small_graphs():
     ("TDG 3 1111", 9),
     ("TDG 2 1 ", 7),
     ("TDG 1 0", 5),
+    ("TDG \u00b2 ", 4),  # superscript two: a digit to str.isdigit, not to int()
+    ("TDG \u0663 000", 4),  # Arabic-Indic three: int() reads it as 3
 ])
 def test_decode_rejects_malformed_text_with_position(text, position):
     with pytest.raises(TdgParseError) as err:

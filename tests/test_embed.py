@@ -49,6 +49,14 @@ def brute_free(g: Digraph, spec: BlowupSpec) -> bool:
     return brute_count_embeddings(g, spec.realize()) == 0
 
 
+def digraphs(min_n: int, max_n: int):
+    """Hypothesis strategy: any digraph on min_n..max_n vertices."""
+    return st.integers(min_n, max_n).flatmap(
+        lambda n: st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2,
+                           max_size=n * (n - 1) // 2)
+        .map(lambda states: Digraph(n, tuple(states))))
+
+
 SMALL_SPECS = [BlowupSpec(2, 1), BlowupSpec(3, 1), BlowupSpec(4, 1), BlowupSpec(2, 2)]
 
 
@@ -82,10 +90,14 @@ def test_contains_witness_is_valid_embedding():
         g = random_digraph(rng, rng.randint(2, 6))
         h = random_digraph(rng, rng.randint(1, 3))
         emb = contains(g, h)
+        # permutations come in lexicographic order, so the first is the least
+        least = next((image for image in permutations(range(g.n), h.n)
+                      if embeds_under(g, h, image)), None)
         if emb is None:
-            assert brute_count_embeddings(g, h) == 0
+            assert least is None
         else:
             assert embeds_under(g, h, emb.mapping)
+            assert emb.mapping == least
 
 
 def test_count_embeddings_matches_permutation_oracle():
@@ -94,6 +106,16 @@ def test_count_embeddings_matches_permutation_oracle():
         g = random_digraph(rng, rng.randint(0, 5))
         h = random_digraph(rng, rng.randint(0, 3))
         assert count_embeddings(g, h) == brute_count_embeddings(g, h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=digraphs(0, 6), h=digraphs(0, 3),
+       spec=st.sampled_from(SMALL_SPECS + [BlowupSpec(3, 2)]), data=st.data())
+def test_count_embeddings_and_freeness_invariant_under_relabelling(g, h, spec, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    relabelled = Digraph.from_arcs(g.n, [(perm[u], perm[v]) for u, v in g.arcs()])
+    assert count_embeddings(relabelled, h) == count_embeddings(g, h)
+    assert is_free(relabelled, spec) == is_free(g, spec)
 
 
 def test_count_embeddings_known_value():
@@ -209,14 +231,8 @@ def test_arc_completes_blowup_against_enumeration():
     assert not brute_completes(g, 5, 1, 0, 1)
 
 
-hosts = st.integers(min_value=2, max_value=7).flatmap(
-    lambda n: st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2,
-                       max_size=n * (n - 1) // 2)
-    .map(lambda states: Digraph(n, tuple(states))))
-
-
 @settings(max_examples=200, deadline=None)
-@given(g=hosts, k=st.integers(2, 5), t=st.integers(1, 2), data=st.data())
+@given(g=digraphs(2, 7), k=st.integers(2, 5), t=st.integers(1, 2), data=st.data())
 def test_arc_completes_blowup_invariant_under_relabelling(g, k, t, data):
     u, v = data.draw(st.permutations(range(g.n)))[:2]
     perm = data.draw(st.permutations(range(g.n)))

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from ttlab import census, embed, search
 from ttlab import (
     DIGRAPH,
     ORIENTED,
@@ -130,6 +131,41 @@ def test_extremal_explored_and_witness_frozen(case):
     n, k, t, w, mode = case
     res = extremal(n, BlowupSpec(k, t), Weight.parse(w), mode)
     assert (res.explored, encode(res.witness)) == FROZEN_SEARCHES[case]
+
+
+# (call, n, k, t, weight or None, mode) -> (explored or None, arc checks);
+# extremal and count_free share one walk, which must keep its work
+ARC_CHECK_CALLS = {
+    ("extremal", 5, 3, 1, "log3", DIGRAPH): (7571, 20356),
+    ("extremal", 5, 2, 2, "7/4", DIGRAPH): (16828, 41351),
+    ("extremal", 6, 3, 1, "2", ORIENTED): (4913, 9820),
+    ("count_free", 5, 3, 1, None, DIGRAPH): (None, 146246),
+    ("count_free", 5, 2, 2, None, ORIENTED): (None, 49832),
+    ("count_free", 5, 4, 1, None, ORIENTED): (None, 56216),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARC_CHECK_CALLS, key=str), ids=str)
+def test_free_walk_arc_check_calls_frozen(case, monkeypatch):
+    # count through the module names the benchmark tracer wraps, so a walk
+    # that calls the check some other way fails here too
+    calls = 0
+    real = embed.arc_completes_blowup
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    for module in (search, census, embed):
+        monkeypatch.setattr(module, "arc_completes_blowup", counted, raising=False)
+    call, n, k, t, w, mode = case
+    if call == "extremal":
+        explored = extremal(n, BlowupSpec(k, t), Weight.parse(w), mode).explored
+    else:
+        census.count_free(n, BlowupSpec(k, t), mode)
+        explored = None
+    assert (explored, calls) == ARC_CHECK_CALLS[case]
 
 
 def test_naive_reports_lexicographically_first_optimum():
