@@ -14,6 +14,16 @@ radix.  Ascending index therefore equals ascending lexicographic order
 of state tuples, which equals ascending TDG string order, so "smallest
 index" and "encode-minimal" mean the same thing.
 
+Decoding: the last m = ceil(P/2) pairs are the low half and the rest the
+high half, so g = hi * radix**m + lo.  Each sweep decodes every digit
+string of each half once (at most 3^8 = 6,561 or 4^5 = 1,024 rows), and
+a block of graphs is a run of whole high rows: each vertex's out-mask
+column is the OR-outer of its two half columns, and f1, f2 the
+sum-outer.  The outer product raveled row-major runs lo fastest, so
+position q of the block starting at high row h0 is graph
+h0 * radix**m + q: ascending index is encode order within a block, and
+blocks come in ascending order.  Every graph is still decoded and tested.
+
 Capacity: oriented mode up to n = 6, digraph mode up to n = 5.  Above
 that the sweep refuses rather than grind.
 """
@@ -162,7 +172,8 @@ def _contains_32(outs, n):
     found = np.zeros(rows, bool)
     for ci, c in enumerate(common):
         for qi, d in enumerate(common):
-            if qi == ci:
+            # c holds neither vertex of pair ci, so it cannot hold a Q meeting ci
+            if masks[qi] & masks[ci]:
                 continue
             both_in = (c & masks[qi]) == masks[qi]
             found |= both_in & (_POP8[c & d] >= 2)
@@ -243,28 +254,50 @@ def _contains_chunk(outs, n, k, t, f1, f2):
 # the sweep
 # ======================================================================
 
-def _sweep_chunk(n, mode, k, t, start, stop):
+def _decode_tables(n, mode):
+    """Split the pairs into a high half and the last m = ceil(P/2) pairs,
+    and decode each half once: index g = hi * radix**m + lo.
+
+    Returns (hi, lo), each an (out-mask columns, f1, f2) triple with one
+    row per digit string of its half.  A half's row is the graph with the
+    other half's pairs in state 0, which adds no arc, so graph g's
+    out-masks are hi's row OR lo's row and its f1, f2 are the sums.
+    """
     radix = _RADIX[mode]
     npairs = comb(n, 2)
-    idx = np.arange(start, stop, dtype=np.int64)
-    states = np.empty((idx.shape[0], npairs), np.uint8)
-    for p in range(npairs):
-        states[:, p] = idx // radix ** (npairs - 1 - p) % radix
-    single = (states == 1) | (states == 2)
-    f1 = single.sum(axis=1).astype(np.int16) if npairs else np.zeros(idx.shape[0], np.int16)
-    f2 = (states == 3).sum(axis=1).astype(np.int16) if npairs else np.zeros(idx.shape[0], np.int16)
-    outs = _out_columns(states, n)
-    contained = _contains_chunk(outs, n, k, t, f1, f2)
-    free = ~contained
+    m = (npairs + 1) // 2
+    halves = []
+    for first, width in ((0, npairs - m), (npairs - m, m)):
+        digits = np.arange(radix ** width)
+        states = np.zeros((digits.shape[0], npairs), np.uint8)
+        for p in range(width):
+            states[:, first + p] = digits // radix ** (width - 1 - p) % radix
+        single = (states == 1) | (states == 2)
+        halves.append((_out_columns(states, n),
+                       single.sum(axis=1, dtype=np.int16),
+                       (states == 3).sum(axis=1, dtype=np.int16)))
+    return halves
 
+
+def _block(hi, lo, h0, h1):
+    """Out-mask columns, f1 and f2 of high rows h0 .. h1 - 1 crossed with
+    every low row: graphs h0*L .. h1*L - 1 in index order, L low rows."""
+    (hi_out, hi_f1, hi_f2), (lo_out, lo_f1, lo_f2) = hi, lo
+    outs = [np.bitwise_or.outer(h[h0:h1], l).ravel() for h, l in zip(hi_out, lo_out)]
+    return (outs, np.add.outer(hi_f1[h0:h1], lo_f1).ravel(),
+            np.add.outer(hi_f2[h0:h1], lo_f2).ravel())
+
+
+def _sweep_block(n, k, t, hi, lo, h0, h1):
+    outs, f1, f2 = _block(hi, lo, h0, h1)
+    free = ~_contains_chunk(outs, n, k, t, f1, f2)
+    base = h0 * lo[1].shape[0]
     cells: dict[int, tuple[int, int]] = {}
     if free.any():
-        f2_free = f2[free]
-        for v in np.unique(f2_free):
+        for v in np.unique(f2[free]):
             sel = free & (f2 == v)
-            f1m = int(f1[sel].max())
-            mi = int(idx[sel & (f1 == f1m)].min())
-            cells[int(v)] = (f1m, mi)
+            f1m = f1[sel].max()
+            cells[int(v)] = (int(f1m), base + int(np.argmax(sel & (f1 == f1m))))
     return int(free.sum()), cells
 
 
@@ -279,11 +312,19 @@ _SWEEPS: dict[tuple, SweepSummary] = {}
 
 
 def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1,
-          chunk: int = 1 << 19) -> SweepSummary:
+          chunk: int = 1 << 15) -> SweepSummary:
     """Full enumeration of all graphs on n vertices in the given mode,
     evaluated against one forbidden blow-up.  Summaries are memoised, so
     repeated queries (e.g. the same instance under three weights) cost
-    one sweep."""
+    one sweep.
+
+    chunk is about how many graphs each block holds: it is rounded down
+    to whole high-table rows (see the module docstring), at least one.
+    The default keeps the kernels' temporaries small; at 2^19 graphs a
+    block, the generic kernel page-faults on each of them and the
+    oriented n = 6 T_5^1 sweep ran 7x slower.  threads > 1 tests blocks
+    on a thread pool (numpy drops the interpreter lock inside its
+    loops); ties still go to the smallest index."""
     require_mode(mode)
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -297,22 +338,24 @@ def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1,
         return hit
 
     total = _RADIX[mode] ** comb(n, 2)
-    ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+    hi, lo = _decode_tables(n, mode)
+    hi_rows = hi[1].shape[0]
+    per = max(1, chunk // lo[1].shape[0])
+    blocks = [(h, min(h + per, hi_rows)) for h in range(0, hi_rows, per)]
+
+    def run(block):
+        return _sweep_block(n, spec.k, spec.t, hi, lo, *block)
+
     free_count = 0
     frontier: dict[int, tuple[int, int]] = {}
-    if threads > 1 and len(ranges) > 1:
+    if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(
-                lambda se: _sweep_chunk(n, mode, spec.k, spec.t, *se), ranges
-            )
-            for cnt, cells in parts:
-                free_count += cnt
-                _merge_cells(frontier, cells)
+            parts = list(pool.map(run, blocks))
     else:
-        for s, e in ranges:
-            cnt, cells = _sweep_chunk(n, mode, spec.k, spec.t, s, e)
-            free_count += cnt
-            _merge_cells(frontier, cells)
+        parts = map(run, blocks)
+    for cnt, cells in parts:
+        free_count += cnt
+        _merge_cells(frontier, cells)
 
     summary = SweepSummary(
         n=n, mode=mode, k=spec.k, t=spec.t,

@@ -168,6 +168,14 @@ def test_admits_partition_invariant_under_relabelling(g, r, t, data):
     assert admits_partition(relabelled, r, t) == admits_partition(g, r, t)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 4), r=st.integers(1, 4), t=st.integers(1, 2),
+       mode=st.sampled_from([DIGRAPH, ORIENTED]))
+def test_count_partite_monotone_in_r(n, r, t, mode):
+    # an r-partition is an (r+1)-partition with one class empty
+    assert count_partite(n, r, t, mode) <= count_partite(n, r + 1, t, mode)
+
+
 def test_partite_graphs_are_free_for_single_vertex_levels():
     # a good r-partition for t = 1 forces T_{r+1}^1-freeness, so the
     # partite family is a subfamily of the free one

@@ -11,7 +11,7 @@ import random
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ttlab import (
@@ -116,6 +116,18 @@ def test_count_embeddings_and_freeness_invariant_under_relabelling(g, h, spec, d
     relabelled = Digraph.from_arcs(g.n, [(perm[u], perm[v]) for u, v in g.arcs()])
     assert count_embeddings(relabelled, h) == count_embeddings(g, h)
     assert is_free(relabelled, spec) == is_free(g, spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=digraphs(2, 6), spec=st.sampled_from(SMALL_SPECS + [BlowupSpec(3, 2)]),
+       data=st.data())
+def test_freeness_inherited_under_arc_deletion(g, spec, data):
+    arcs = list(g.arcs())
+    assume(arcs)
+    arc = data.draw(st.sampled_from(arcs))
+    smaller = Digraph.from_arcs(g.n, [a for a in arcs if a != arc])
+    if is_free(g, spec):
+        assert is_free(smaller, spec)
 
 
 def test_count_embeddings_known_value():

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+from functools import cache
 
-from ttlab import BlowupSpec, CapacityError, DIGRAPH, ORIENTED, is_free
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ttlab import BlowupSpec, CapacityError, DIGRAPH, ORIENTED, is_free, oracle
 from ttlab.oracle import SWEEP_BOUND, graph_from_index, iter_digraphs, sweep
 
 SPECS = [BlowupSpec(2, 1), BlowupSpec(3, 1), BlowupSpec(4, 1),
@@ -41,10 +45,44 @@ def test_sweep_frontier_matches_per_graph_recount(mode, spec):
         cell = frontier.get(g.f2)
         if cell is None or g.f1 > cell[0]:
             frontier[g.f2] = (g.f1, idx)
-    summary = sweep(n, spec, mode)
-    assert summary.free_count == free
-    assert summary.frontier == frontier
-    assert summary.total == (4 if mode == DIGRAPH else 3) ** 6
+    summaries = [sweep(n, spec, mode)]
+    # blocks of one high-table row (27 or 64 graphs) up to the whole sweep
+    for chunk in (1, 7, 64, 100, 4096):
+        oracle._SWEEPS.pop((n, mode, spec.k, spec.t))
+        summaries.append(sweep(n, spec, mode, chunk=chunk))
+    for summary in summaries:
+        assert summary.free_count == free
+        assert summary.frontier == frontier
+        assert summary.total == (4 if mode == DIGRAPH else 3) ** 6
+
+
+decode_tables = cache(oracle._decode_tables)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 6), mode=st.sampled_from([DIGRAPH, ORIENTED]), data=st.data())
+def test_block_decode_matches_graph_from_index(n, mode, data):
+    hi, lo = decode_tables(n, mode)
+    hi_rows, lo_rows = len(hi[1]), len(lo[1])
+    g = data.draw(st.integers(0, hi_rows * lo_rows - 1))
+    h = g // lo_rows
+    h0 = data.draw(st.integers(max(0, h - 3), h))
+    h1 = data.draw(st.integers(h + 1, min(hi_rows, h + 4)))
+    outs, f1, f2 = oracle._block(hi, lo, h0, h1)
+    pos = g - h0 * lo_rows
+    want = graph_from_index(n, mode, g)
+    assert [int(col[pos]) for col in outs] == list(want.out_masks)
+    assert (int(f1[pos]), int(f2[pos])) == (want.f1, want.f2)
+
+
+@pytest.mark.parametrize("spec", SPECS + [BlowupSpec(5, 1)], ids=str)
+def test_digraph_n5_frontier_cells_decode_to_free_graphs(spec):
+    summary = sweep(5, spec, DIGRAPH)
+    assert summary.frontier
+    for f2, (f1, idx) in summary.frontier.items():
+        g = graph_from_index(5, DIGRAPH, idx)
+        assert (g.f1, g.f2) == (f1, f2)
+        assert is_free(g, spec)
 
 
 def test_sweep_is_memoised_and_thread_count_is_immaterial():
@@ -56,7 +94,6 @@ def test_sweep_is_memoised_and_thread_count_is_immaterial():
 def test_sweep_threads_agree_on_fresh_computation():
     one = sweep(5, BlowupSpec(4, 1), DIGRAPH, threads=1)
     # drop the memo so the threaded run actually recomputes
-    from ttlab import oracle
     oracle._SWEEPS.pop((5, DIGRAPH, 4, 1))
     two = sweep(5, BlowupSpec(4, 1), DIGRAPH, threads=4, chunk=1 << 12)
     assert one == two
