@@ -4,9 +4,11 @@ Everything in this module enumerates *every* digraph on n labelled
 vertices (4^C(n,2) of them, or 3^C(n,2) in oriented mode) and evaluates
 each one, with no search-tree pruning of any kind.  The point is to give
 the clever routines elsewhere in the package something independent to be
-checked against, so the containment tests here are written as vectorised
-numpy kernels over whole blocks of graphs rather than reusing the
-per-graph chain search from `embed`.
+checked against.  Containment is one vectorised walk of its own over
+whole blocks of graphs: the chain of t-sets defined in the `embed`
+module docstring, searched for every graph of a block at once.  Nothing
+is imported from `embed`, and the tests check the walk row by row
+against `embed.contains`, the generic embedding backtracker.
 
 Graph index convention: graph number g (0 <= g < radix**P, P = C(n,2))
 has pair p's state equal to digit p of g written big-endian in base
@@ -50,8 +52,6 @@ from .core import (
 SWEEP_BOUND = {DIGRAPH: 5, ORIENTED: 6}
 _RADIX = {DIGRAPH: 4, ORIENTED: 3}
 
-_POP8 = np.array([bin(x).count("1") for x in range(256)], dtype=np.uint8)
-
 
 @dataclass(frozen=True)
 class SweepSummary:
@@ -93,7 +93,7 @@ def graph_from_index(n: int, mode: str, index: int) -> Digraph:
 
 
 # ======================================================================
-# vectorised containment kernels
+# vectorised containment: the chain walk
 # ======================================================================
 
 def _out_columns(states: np.ndarray, n: int) -> list[np.ndarray]:
@@ -107,147 +107,53 @@ def _out_columns(states: np.ndarray, n: int) -> list[np.ndarray]:
     return outs
 
 
-def _pairs_inside_table(n: int) -> np.ndarray:
-    """table[m] = bitset of ordered pairs (c, d), c != d, both inside mask m."""
-    tab = np.zeros(1 << n, np.uint32)
-    for m in range(1 << n):
-        bits = 0
-        q = 0
-        for c in range(n):
-            for d in range(n):
-                if c == d:
-                    continue
-                if m >> c & 1 and m >> d & 1:
-                    bits |= 1 << q
-                q += 1
-        tab[m] = bits
-    return tab
+def _chain_walk(outs, sets, t, found, allowed, used, levels):
+    """One level of the chain walk, for every row (graph) at once.
 
-
-def _contains_t3(outs, n):
-    rows = outs[0].shape[0]
-    found = np.zeros(rows, bool)
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                found |= ((outs[u] >> v) & 1).astype(bool) & ((outs[u] & outs[v]) != 0)
-    return found
-
-
-def _contains_t4(outs, n):
-    rows = outs[0].shape[0]
-    tab = _pairs_inside_table(n)
-    arcbits = np.zeros(rows, np.uint32)
-    q = 0
-    for c in range(n):
-        for d in range(n):
-            if c == d:
-                continue
-            arcbits |= ((outs[c] >> d) & 1).astype(np.uint32) << q
-            q += 1
-    found = np.zeros(rows, bool)
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            arc = ((outs[a] >> b) & 1).astype(bool)
-            inner = (arcbits & tab[outs[a] & outs[b]]) != 0
-            found |= arc & inner
-    return found
-
-
-def _contains_22(outs, n):
-    rows = outs[0].shape[0]
-    found = np.zeros(rows, bool)
-    for u1, u2 in combinations(range(n), 2):
-        found |= _POP8[outs[u1] & outs[u2]] >= 2
-    return found
-
-
-def _contains_32(outs, n):
-    rows = outs[0].shape[0]
-    pairs = list(combinations(range(n), 2))
-    common = [outs[a] & outs[b] for a, b in pairs]
-    masks = [(1 << a) | (1 << b) for a, b in pairs]
-    found = np.zeros(rows, bool)
-    for ci, c in enumerate(common):
-        for qi, d in enumerate(common):
-            # c holds neither vertex of pair ci, so it cannot hold a Q meeting ci
-            if masks[qi] & masks[ci]:
-                continue
-            both_in = (c & masks[qi]) == masks[qi]
-            found |= both_in & (_POP8[c & d] >= 2)
-    return found
-
-
-def _contains_generic(outs, n, k, t):
-    """Level-by-level reachability over allowed-set bitmasks.
-
-    g_j[A] says: a chain of j disjoint t-sets fits inside the vertex set
-    A.  Per graph, g_j is a 2^n-bit integer (n <= 6), and the recursion
-    g_j[A] = OR over t-subsets P of A of g_{j-1}[A & T(P)] turns into
-    vectorised shifts.  Slow but fully general; the named kernels above
-    cover the shapes the test-suite leans on.
+    sets lists every t-set as (mask, vertices).  allowed is the column of
+    vertex sets the next t-set must lie inside, and levels how many t-sets
+    are still to pick.  used holds the vertices the chain has taken so far,
+    the same in every row; no row's allowed meets it, so sets meeting it
+    are skipped unread.  Rows where a set is not inside allowed get
+    allowed = 0 below it, so they fail every test further down.  The last
+    set is never picked: a chain completes where allowed & T(S) of the
+    one before it still holds t vertices.  found collects the rows that
+    hold a chain.
     """
-    rows = outs[0].shape[0]
-    full = (1 << n) - 1
-    subs = list(combinations(range(n), t))
-    sub_masks = [sum(1 << u for u in sel) for sel in subs]
-    t_cols = []
-    for sel in subs:
-        col = np.full(rows, full, np.uint8)
-        for u in sel:
-            col &= outs[u]
-        t_cols.append(col)
-
-    if k == 2:
-        found = np.zeros(rows, bool)
-        for col in t_cols:
-            found |= _POP8[col] >= t
-        return found
-
-    # g_1 is graph-independent: subset A works iff |A| >= t
-    g_prev: np.ndarray | np.uint64 = np.uint64(
-        sum(1 << a for a in range(1 << n) if bin(a).count("1") >= t)
-    )
-    for level in range(2, k):
-        g_new = np.zeros(rows, np.uint64)
-        for a in range(1 << n):
-            if bin(a).count("1") < level * t:
-                continue
-            hit = np.zeros(rows, bool)
-            for si, smask in enumerate(sub_masks):
-                if smask & a != smask:
-                    continue
-                idx = (t_cols[si] & a).astype(np.uint64)
-                hit |= ((g_prev >> idx) & 1).astype(bool)
-            g_new |= hit.astype(np.uint64) << np.uint64(a)
-        g_prev = g_new
-
-    found = np.zeros(rows, bool)
-    for si in range(len(subs)):
-        idx = t_cols[si].astype(np.uint64)
-        found |= ((g_prev >> idx) & 1).astype(bool)
-    return found
+    for mask, verts in sets:
+        if mask & used:
+            continue
+        nxt = allowed & outs[verts[0]]
+        for v in verts[1:]:
+            nxt &= outs[v]
+        inside = (allowed & mask) == mask
+        if levels == 1:
+            # x & (x - 1) drops x's lowest vertex (0 - 1 wraps to 255, so 0
+            # stays 0): nxt is nonzero after t - 1 drops iff it held t vertices
+            for _ in range(t - 1):
+                nxt &= nxt - 1
+            hit = nxt != 0
+            hit &= inside
+            found |= hit
+        else:
+            nxt *= inside  # zero, in place, the rows where the set does not fit
+            _chain_walk(outs, sets, t, found, nxt, used | mask, levels - 1)
 
 
 def _contains_chunk(outs, n, k, t, f1, f2):
-    rows = outs[0].shape[0] if n else f1.shape[0]
+    """Bool column: which graphs of the block contain blowup(k, t).
+
+    f1 gives the row count (outs is empty when n = 0); f2 is unused but
+    stays in the signature that perfbench's tracer wraps."""
+    rows = f1.shape[0]
     if k * t > n:
         return np.zeros(rows, bool)
     if k == 1:
         return np.ones(rows, bool)
-    if (k, t) == (2, 1):
-        return (f1 + f2) > 0
-    if (k, t) == (3, 1):
-        return _contains_t3(outs, n)
-    if (k, t) == (4, 1):
-        return _contains_t4(outs, n)
-    if (k, t) == (2, 2):
-        return _contains_22(outs, n)
-    if (k, t) == (3, 2):
-        return _contains_32(outs, n)
-    return _contains_generic(outs, n, k, t)
+    sets = [(sum(1 << v for v in verts), verts) for verts in combinations(range(n), t)]
+    found = np.zeros(rows, bool)
+    _chain_walk(outs, sets, t, found, np.full(rows, (1 << n) - 1, np.uint8), 0, k - 1)
+    return found
 
 
 # ======================================================================
@@ -320,10 +226,11 @@ def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1,
 
     chunk is about how many graphs each block holds: it is rounded down
     to whole high-table rows (see the module docstring), at least one.
-    The default keeps the kernels' temporaries small; at 2^19 graphs a
-    block, the generic kernel page-faults on each of them and the
-    oriented n = 6 T_5^1 sweep ran 7x slower.  threads > 1 tests blocks
-    on a thread pool (numpy drops the interpreter lock inside its
+    The default was the fastest size measured: the seven `oracle_sweep`
+    benchmark jobs took 0.64-0.75 s in all at 2^15 graphs a block,
+    0.71-0.81 s at 2^17, 1.1-1.2 s at 2^19 and 1.5-1.7 s at 2^13 (three
+    fresh-process runs each on a 2-core Xeon VM).  threads > 1 tests
+    blocks on a thread pool (numpy drops the interpreter lock inside its
     loops); ties still go to the smallest index."""
     require_mode(mode)
     if n < 0:

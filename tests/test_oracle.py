@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 from functools import cache
+from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttlab import BlowupSpec, CapacityError, DIGRAPH, ORIENTED, is_free, oracle
+from ttlab import (BlowupSpec, CapacityError, DIGRAPH, Digraph, ORIENTED, blowup, contains,
+                   is_free, oracle)
 from ttlab.oracle import SWEEP_BOUND, graph_from_index, iter_digraphs, sweep
 
 SPECS = [BlowupSpec(2, 1), BlowupSpec(3, 1), BlowupSpec(4, 1),
@@ -73,6 +77,52 @@ def test_block_decode_matches_graph_from_index(n, mode, data):
     want = graph_from_index(n, mode, g)
     assert [int(col[pos]) for col in outs] == list(want.out_masks)
     assert (int(f1[pos]), int(f2[pos])) == (want.f1, want.f2)
+
+
+def chunk_args(n, rows):
+    """_contains_chunk's arguments for a block of graphs given as state rows."""
+    states = np.array(rows, np.uint8).reshape(len(rows), comb(n, 2))
+    f1 = ((states == 1) | (states == 2)).sum(axis=1, dtype=np.int16)
+    f2 = (states == 3).sum(axis=1, dtype=np.int16)
+    return oracle._out_columns(states, n), f1, f2
+
+
+@st.composite
+def blocks(draw):
+    n = draw(st.integers(0, 6))
+    mode = draw(st.sampled_from([DIGRAPH, ORIENTED]))
+    k = draw(st.integers(1, n + 1))
+    t = draw(st.integers(1, (n + 1) // k))
+    state = st.integers(0, 3 if mode == DIGRAPH else 2)
+    rows = draw(st.lists(st.lists(state, min_size=comb(n, 2), max_size=comb(n, 2)),
+                         min_size=1, max_size=12))
+    return n, k, t, rows
+
+
+# the chain walk against the embedding backtracker, a different algorithm
+@settings(max_examples=300, deadline=None)
+@given(block=blocks())
+def test_contains_chunk_matches_backtracker_row_by_row(block):
+    n, k, t, rows = block
+    outs, f1, f2 = chunk_args(n, rows)
+    found = oracle._contains_chunk(outs, n, k, t, f1, f2)
+    h = blowup(k, t)
+    assert found.tolist() == [contains(Digraph(n, tuple(r)), h) is not None for r in rows]
+
+
+def test_contains_chunk_leaves_no_garbage():
+    # a reference cycle would keep each block's columns alive until the
+    # collector runs, which shows as peak memory over a sweep
+    rng = np.random.default_rng(7)
+    outs, f1, f2 = chunk_args(6, rng.integers(0, 4, (4096, comb(6, 2))))
+    gc.collect()
+    gc.disable()
+    try:
+        for k in range(2, 6):
+            oracle._contains_chunk(outs, 6, k, 1, f1, f2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("spec", SPECS + [BlowupSpec(5, 1)], ids=str)

@@ -6,6 +6,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttlab import census, embed, search
 from ttlab import (
@@ -28,7 +30,7 @@ from ttlab import (
 )
 
 from test_core import random_digraph
-from test_embed import add_arc
+from test_embed import add_arc, digraphs
 
 WEIGHTS = [Weight.rational(2), Weight.log2_3(), Weight.parse("7/4")]
 SPECS = [BlowupSpec(3, 1), BlowupSpec(4, 1), BlowupSpec(2, 2), BlowupSpec(3, 2)]
@@ -258,6 +260,16 @@ def test_edit_distance_matches_assignment_enumeration():
         g = random_digraph(rng, n)
         r = rng.randint(1, 3)
         assert edit_distance_to_dtr(g, r).distance == brute_edit_distance(g, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=digraphs(0, 7), r=st.integers(1, 4), data=st.data())
+def test_edit_distance_invariant_under_relabelling(g, r, data):
+    # the search fixes a vertex order and breaks symmetry between equal
+    # empty parts, neither of which may change the minimum
+    perm = data.draw(st.permutations(range(g.n)))
+    relabelled = Digraph.from_arcs(g.n, [(perm[u], perm[v]) for u, v in g.arcs()])
+    assert edit_distance_to_dtr(relabelled, r).distance == edit_distance_to_dtr(g, r).distance
 
 
 def test_edit_distance_capacity_and_validation():
