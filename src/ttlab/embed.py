@@ -197,10 +197,31 @@ def arc_completes_blowup(out_masks, n: int, k: int, t: int, u: int, v: int) -> b
     (out[u] & out[v]).  A copy exists iff u -> v is an arc and some chain
     of k - 2 vertices visits the regions in that order, each vertex in
     the out-mask of every earlier one (`_ordered_chain`); for k = 3 that
-    is one nonempty region.  Larger t runs the level-chain search with
-    u and v pending in turn.
+    is one nonempty region.
+
+    For k = 2 and larger t a copy is S -> T with u in S and v in T: the
+    other t - 1 vertices of S come from in[v] minus u, and the other
+    t - 1 of T from what u and all of them send arcs to, minus v.  Every
+    such vertex misses the set it is not in (no loops), so the copy
+    exists iff u -> v is an arc and some (t-1)-subset X of in[v] - {u}
+    has t - 1 vertices of out[u] - {v} in every out[x].  Larger k runs
+    the level-chain search with u and v pending in turn.
     """
     if k < 2 or k * t > n:
+        return False
+    if k == 2 and t > 1:
+        out_u = out_masks[u]
+        if not out_u >> v & 1:
+            return False
+        targets = out_u & ~(1 << v)
+        sources = [w for w in range(n) if w != u and out_masks[w] >> v & 1
+                   and (out_masks[w] & targets).bit_count() >= t - 1]
+        for xs in combinations(sources, t - 1):
+            common = targets
+            for x in xs:
+                common &= out_masks[x]
+            if common.bit_count() >= t - 1:
+                return True
         return False
     if t == 1:
         out_u, out_v = out_masks[u], out_masks[v]

@@ -17,16 +17,27 @@ uses:
   (compared exactly on the integer keys of `Weight`, tabulated once per
   call, never in floating point); states later in the order can only do
   worse, so the first failing state ends the level;
+* extremal also cuts with ex_a(n-1), computed first by the same search
+  on n - 1 vertices (and so on down, each size once per call).  G - v is
+  free whenever G is, and each pair survives n - 2 of the n deletions,
+  so (n-2) * e_a(G) <= n * ex_a(n-1) (Katona-Nemetz-Simonovits): when
+  the incumbent meets that averaging cap the search ends at the root.
+  And a G beating the incumbent B has deg_a(v) > e_a(B) - ex_a(n-1) at
+  every vertex: after each pair the walk grants the undecided pairs at
+  both endpoints their densest state and ends the level when either
+  endpoint falls to that degree floor;
 * the incumbent starts at the bidirected Turan digraph make_dtr(n, k-1)
   (oriented mode: the same partition with all cross arcs pointing
   forward), so the search begins from the construction conjectured to
   be extremal and only ever improves on it.
 
-Because pruning discards exactly the subtrees that cannot strictly beat
-the incumbent, the returned value is the true maximum and the witness is
+Because every cut discards only subtrees that cannot strictly beat the
+incumbent, the returned value is the true maximum and the witness is
 deterministic: it is the encode-minimal optimum among those the fixed
 search order encounters (the initial construction counts as
-encountered).
+encountered).  The cuts change how many nodes are visited, never the
+sequence of incumbents.  `explored` counts every node the call
+entered, over the whole chain of sizes.
 
 extremal_naive answers the same question by full enumeration (the
 `oracle` sweep) with no pruning at all, and is the cross-check for the
@@ -95,40 +106,63 @@ PAIR_CHOICES = {
 }
 
 
-def _free_walk(n: int, spec: BlowupSpec, mode: str, bound=None, leaf=None) -> tuple[int, int]:
+def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
+               sub: tuple[int, int] = (0, 0)) -> tuple[int, int]:
     """Depth-first walk over the spec-free digraphs on n vertices.
 
     Pairs are decided in `pair_list` order, each trying the states of
     PAIR_CHOICES[mode] in turn.  A child is skipped when one of its new
     arcs completes a copy (checked i -> j, then j -> i); nothing below a
-    copy is free, so every leaf reached is free.  bound(d, f1, f2), with
-    f1 and f2 counted after deciding pair d, is asked before the check,
-    and a True answer ends the level.  leaf(out_masks, f1, f2) is called
-    at every leaf.  Returns (leaves, explored), where explored counts the
-    root and every child entered.
+    copy is free, so every leaf reached is free.  Returns
+    (leaves, explored), where explored counts the root and every child
+    entered.
+
+    Given keys (keys[f1][f2] = `Weight._key`, for f1 + f2 <= C(n, 2)), the
+    walk is the `extremal` branch and bound.  best is the incumbent cell
+    [key, out-masks or None], and sub = (f1, f2) of ex_a(n - 1).
+    Every undecided pair is granted the densest state (a digon, or a
+    single arc in oriented mode).  A child is cut, before its arc check,
+    when the granted total, or the granted degree of i or of j plus sub,
+    has a key <= best[0]; states come densest first, so the first cut
+    ends the level.  Each leaf reached strictly beats the incumbent and
+    is written into best.
     """
     k, t = spec.k, spec.t
     pairs = pair_list(n)
     npairs = len(pairs)
-    choices = PAIR_CHOICES[mode]
+    # (f1, f2) granted to one undecided pair
+    g1, g2 = (0, 1) if mode == DIGRAPH else (1, 0)
+    # per state: its arcs and how far it falls short of the granted one
+    steps = [(fwd, bwd, d1 - g1, d2 - g2) for fwd, bwd, d1, d2 in PAIR_CHOICES[mode]]
     out = [0] * n
+    # granted (f1, f2) degree of each vertex, plus sub: the degree floor
+    # compares keys[deg1[v]][deg2[v]] with the incumbent, and sub on this
+    # side keeps every index within f1 + f2 <= C(n, 2)
+    deg1 = [sub[0] + g1 * (n - 1)] * n
+    deg2 = [sub[1] + g2 * (n - 1)] * n
     leaves = 0
     explored = 1  # the root
 
     def down(d: int, f1: int, f2: int):
+        # f1, f2: the granted totals, equal to the true ones at a leaf
         nonlocal leaves, explored
         if d == npairs:
             leaves += 1
-            if leaf is not None:
-                leaf(out, f1, f2)
+            if best is not None:
+                best[:] = keys[f1][f2], out.copy()
             return
         i, j = pairs[d]
         oi, oj = out[i], out[j]
-        for fwd, bwd, d1, d2 in choices:
-            nf1 = f1 + d1
-            nf2 = f2 + d2
-            if bound is not None and bound(d, nf1, nf2):
-                break
+        if keys is not None:
+            ai, bi, aj, bj = deg1[i], deg2[i], deg1[j], deg2[j]
+        for fwd, bwd, e1, e2 in steps:
+            nf1 = f1 + e1
+            nf2 = f2 + e2
+            if keys is not None:
+                top = best[0]
+                if (keys[nf1][nf2] <= top or keys[ai + e1][bi + e2] <= top
+                        or keys[aj + e1][bj + e2] <= top):
+                    break
             if fwd:
                 out[i] = oi | 1 << j
             if bwd:
@@ -136,21 +170,34 @@ def _free_walk(n: int, spec: BlowupSpec, mode: str, bound=None, leaf=None) -> tu
             if not (fwd and arc_completes_blowup(out, n, k, t, i, j)
                     or bwd and arc_completes_blowup(out, n, k, t, j, i)):
                 explored += 1
+                if keys is not None:
+                    deg1[i] = ai + e1
+                    deg2[i] = bi + e2
+                    deg1[j] = aj + e1
+                    deg2[j] = bj + e2
                 down(d + 1, nf1, nf2)
             out[i] = oi
             out[j] = oj
+        if keys is not None:
+            deg1[i], deg2[i], deg1[j], deg2[j] = ai, bi, aj, bj
 
-    down(0, 0, 0)
+    down(0, g1 * npairs, g2 * npairs)
     return leaves, explored
 
 
 def extremal(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> ExtremalResult:
     """Exact maximum of a*f2 + f1 over blow-up-free digraphs on n vertices.
 
-    mode="oriented" restricts the search to digraphs with no digon.
-    Measured on a 2-core Xeon VM at a = 2, digraph mode: n = 6, T_3^1
-    takes about 0.6 s (167,205 nodes) and n = 7 about 2 minutes
-    (23,770,251 nodes).  The hard capacity bound is 16 vertices.
+    mode="oriented" restricts the search to digraphs with no digon.  The
+    search runs for m = 2, ..., n in turn, and each m is cut with
+    ex_a(m - 1) from the one before it: it ends at the root when the
+    incumbent meets the averaging cap m/(m - 2) * ex_a(m - 1), and the
+    walk applies the degree floor.  `explored` counts every node of the
+    whole chain.  Measured on a 2-core Xeon VM at a = 2, digraph mode:
+    T_3^1 takes about 0.01 s at n = 6 (459 nodes), 0.7 s at n = 7
+    (128,409 nodes) and 0.8 s at n = 8, which ends at the root; T_4^1
+    at n = 8 takes about 6 s (913,671 nodes) and T_2^2 at n = 6 about
+    2.5 s (467,823 nodes).  The hard capacity bound is 16 vertices.
     Forbidding blowup(1, t) is refused: every digraph on >= t vertices
     contains it, so no maximum exists.
     """
@@ -162,9 +209,32 @@ def extremal(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> Extrem
     if spec.k < 2:
         raise ValueError("forbidding a k=1 blow-up leaves no free digraphs to maximise over")
 
-    pairs = pair_list(n)
-    npairs = len(pairs)
+    best = Digraph.empty(n)  # n <= 1: the only digraph
+    explored = 1 if n < 2 else 0
+    for m in range(2, n + 1):
+        # best is the optimum on m - 1 vertices
+        best, nodes = _extremal_step(m, spec, a, mode, (best.f1, best.f2))
+        explored += nodes
+    return ExtremalResult(
+        n=n, spec=spec, weight=a, mode=mode,
+        best=WeightedValue(best.f1, best.f2, a),
+        witness=best,
+        explored=explored,
+    )
 
+
+def _extremal_step(n: int, spec: BlowupSpec, a: Weight, mode: str,
+                   sub: tuple[int, int]) -> tuple[Digraph, int]:
+    """The optimum on n >= 2 vertices and the nodes spent, given
+    sub = (f1, f2) of ex_a(n - 1).
+
+    Deleting a vertex keeps a digraph free, and each pair survives n - 2
+    of the n deletions, so (n - 2) * e_a(G) <= n * ex_a(n - 1): once the
+    incumbent meets that cap the root is the whole search.  Likewise a G
+    beating the incumbent B has deg_a(v) > e_a(B) - ex_a(n - 1) at every
+    vertex v, the floor `_free_walk` applies.
+    """
+    npairs = n * (n - 1) // 2
     start = make_dtr(n, spec.k - 1)
     if mode != DIGRAPH:
         # the same partition with every cross arc pointing forward
@@ -174,30 +244,19 @@ def extremal(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> Extrem
 
     # exact comparison keys of every reachable (f1, f2), f1 + f2 <= C(n, 2)
     keys = [[a._key(f1, f2) for f2 in range(npairs + 1 - f1)] for f1 in range(npairs + 1)]
-    best_f1, best_f2 = start.f1, start.f2
-    best_key = keys[best_f1][best_f2]
-    best_states = start.states
-    digraph = mode == DIGRAPH
-
-    def bound(d: int, f1: int, f2: int) -> bool:
-        # granting every undecided pair its densest state cannot beat the
-        # incumbent; states come densest first, so no later one can either
-        rem = npairs - d - 1
-        return (keys[f1][f2 + rem] if digraph else keys[f1 + rem][f2]) <= best_key
-
-    def leaf(out, f1: int, f2: int):
-        # pruning admitted this leaf, so it strictly beats the incumbent
-        nonlocal best_f1, best_f2, best_key, best_states
-        best_f1, best_f2, best_key = f1, f2, keys[f1][f2]
-        best_states = tuple((out[i] >> j & 1) | (out[j] >> i & 1) << 1 for i, j in pairs)
-
-    _, explored = _free_walk(n, spec, mode, bound, leaf)
-    return ExtremalResult(
-        n=n, spec=spec, weight=a, mode=mode,
-        best=WeightedValue(best_f1, best_f2, a),
-        witness=Digraph(n, best_states),
-        explored=explored,
-    )
+    best = [keys[start.f1][start.f2], None]
+    sub_key = keys[sub[0]][sub[1]]
+    # e_a(B) >= n/(n-2) * ex_a(n-1), exactly: keys are linear in e_a for a
+    # rational weight and equal 2^e_a for log2(3)
+    if n > 2 and (best[0] ** (n - 2) >= sub_key ** n if a.is_log3
+                  else (n - 2) * best[0] >= n * sub_key):
+        return start, 1
+    _, explored = _free_walk(n, spec, mode, keys, best, sub)
+    out = best[1]
+    if out is None:
+        return start, explored
+    return Digraph(n, tuple((out[i] >> j & 1) | (out[j] >> i & 1) << 1
+                            for i, j in pair_list(n))), explored
 
 
 def extremal_naive(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH,

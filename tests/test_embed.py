@@ -27,7 +27,7 @@ from ttlab import (
     is_free,
     partition_ok,
 )
-from ttlab.embed import arc_completes_blowup
+from ttlab.embed import _pending_chain, arc_completes_blowup
 
 from test_core import random_digraph
 
@@ -241,6 +241,27 @@ def test_arc_completes_blowup_against_enumeration():
                               (2, 3), (4, 0), (4, 1), (2, 4), (3, 4), (0, 5), (1, 5), (2, 5)])
     assert not arc_completes_blowup(g.out_masks, 6, 5, 1, 0, 1)
     assert not brute_completes(g, 5, 1, 0, 1)
+
+
+def test_arc_completes_blowup_k2_shortcut_against_enumeration():
+    # k = 2 with t >= 2 skips the level-chain search; check it against
+    # enumeration and against that search, on hosts up to 7 vertices
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(300):
+        t = rng.choice((2, 3))
+        n = rng.randint(2 * t, 7)
+        density = rng.choice((0.3, 0.5, 0.7, 0.95))
+        g = Digraph(n, tuple(rng.choice((1, 2, 3)) if rng.random() < density else 0
+                             for _ in range(n * (n - 1) // 2)))
+        u, v = rng.sample(range(n), 2)
+        if rng.random() < 0.9 and not g.has_arc(u, v):
+            g = add_arc(g, u, v)
+        got = arc_completes_blowup(g.out_masks, n, 2, t, u, v)
+        assert got == brute_completes(g, 2, t, u, v), (g, t, u, v)
+        assert got == _pending_chain(g.out_masks, n, 2, t, u, v)
+        seen.add((t, got))
+    assert seen == {(t, b) for t in (2, 3) for b in (False, True)}
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttlab import census, embed, search
+from ttlab.core import pair_list
 from ttlab import (
     DIGRAPH,
     ORIENTED,
@@ -116,15 +118,17 @@ def test_extremal_is_deterministic():
 
 
 # (n, k, t, weight, mode) -> (explored, witness encoding); a change to the
-# cost per node must leave both alone
+# cost per node must leave both alone.  explored covers the whole ex(m - 1)
+# chain, m = 2..n; at n = 6 the T_3^1 and T_4^1 digraph searches end at
+# the root on the averaging cap
 FROZEN_SEARCHES = {
-    (6, 3, 1, "2", DIGRAPH): (167205, encode(make_dtr(6, 2))),
-    (6, 4, 1, "2", DIGRAPH): (42476, "TDG 6 033333333033330"),
-    (6, 3, 2, "2", DIGRAPH): (1761, "TDG 6 333333333333121"),
-    (5, 3, 1, "log3", DIGRAPH): (7571, "TDG 5 0033033330"),
-    (5, 2, 2, "7/4", DIGRAPH): (16828, "TDG 5 3312122111"),
-    (6, 3, 1, "2", ORIENTED): (4913, "TDG 6 112200112112011"),
-    (6, 2, 2, "2", ORIENTED): (1671, "TDG 6 111221211112211"),
+    (6, 3, 1, "2", DIGRAPH): (459, encode(make_dtr(6, 2))),
+    (6, 4, 1, "2", DIGRAPH): (151, "TDG 6 033333333033330"),
+    (6, 3, 2, "2", DIGRAPH): (1784, "TDG 6 333333333333121"),
+    (5, 3, 1, "log3", DIGRAPH): (1596, "TDG 5 0033033330"),
+    (5, 2, 2, "7/4", DIGRAPH): (11379, "TDG 5 3312122111"),
+    (6, 3, 1, "2", ORIENTED): (270, "TDG 6 112200112112011"),
+    (6, 2, 2, "2", ORIENTED): (1746, "TDG 6 111221211112211"),
 }
 
 
@@ -135,12 +139,62 @@ def test_extremal_explored_and_witness_frozen(case):
     assert (res.explored, encode(res.witness)) == FROZEN_SEARCHES[case]
 
 
+def test_extremal_t3_at_seven_and_eight_vertices():
+    # past the oracle's reach: both equal 2*t_2(n) = e_2(DTR(n, 2)), and
+    # at n = 8 the averaging cap 8/6 * 24 = 32 ends the search at the root
+    a = Weight.rational(2)
+    spec = BlowupSpec(3, 1)
+    results = {}
+    for n, value in ((7, 24), (8, 32)):
+        res = extremal(n, spec, a)
+        assert res.best.exact == value == 2 * turan_edges(n, 2)
+        assert res.best == weighted_size(make_dtr(n, 2), a)
+        assert res.witness == make_dtr(n, 2)
+        results[n] = res
+    assert results[8].explored == results[7].explored + 1
+
+
+@lru_cache(maxsize=None)
+def _ex_pair(n: int, k: int, t: int, token: str) -> tuple[int, int]:
+    return extremal(n, BlowupSpec(k, t), Weight.parse(token)).best.pair
+
+
+def _greedy_free(n: int, states, spec: BlowupSpec) -> Digraph:
+    """The drawn states, pair by pair, each dropped to no arc where it
+    would make the digraph so far contain the pattern."""
+    g = Digraph.empty(n)
+    for (i, j), s in zip(pair_list(n), states):
+        nxt = g.with_pair(i, j, s)
+        if is_free(nxt, spec):
+            g = nxt
+    return g
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(2, 6), data=st.data(),
+       spec=st.sampled_from(SPECS), a=st.sampled_from(WEIGHTS))
+def test_vertex_deletion_averaging_on_free_digraphs(n, data, spec, a):
+    # each pair survives n - 2 of the n vertex deletions, and every G - v
+    # is free: the two facts behind the cuts of `extremal`
+    states = data.draw(st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2,
+                                max_size=n * (n - 1) // 2))
+    g = _greedy_free(n, states, spec)
+    assert is_free(g, spec)
+    minors = [g.induced([u for u in range(n) if u != v]) for v in range(n)]
+    assert sum(h.f1 for h in minors) == (n - 2) * g.f1
+    assert sum(h.f2 for h in minors) == (n - 2) * g.f2
+    ex = _ex_pair(n - 1, spec.k, spec.t, a.token)
+    for h in minors:
+        assert is_free(h, spec)
+        assert a.compare((h.f1, h.f2), ex) <= 0
+
+
 # (call, n, k, t, weight or None, mode) -> (explored or None, arc checks);
 # extremal and count_free share one walk, which must keep its work
 ARC_CHECK_CALLS = {
-    ("extremal", 5, 3, 1, "log3", DIGRAPH): (7571, 20356),
-    ("extremal", 5, 2, 2, "7/4", DIGRAPH): (16828, 41351),
-    ("extremal", 6, 3, 1, "2", ORIENTED): (4913, 9820),
+    ("extremal", 5, 3, 1, "log3", DIGRAPH): (1596, 4650),
+    ("extremal", 5, 2, 2, "7/4", DIGRAPH): (11379, 28806),
+    ("extremal", 6, 3, 1, "2", ORIENTED): (270, 503),
     ("count_free", 5, 3, 1, None, DIGRAPH): (None, 146246),
     ("count_free", 5, 2, 2, None, ORIENTED): (None, 49832),
     ("count_free", 5, 4, 1, None, ORIENTED): (None, 56216),
