@@ -52,12 +52,9 @@ from dataclasses import dataclass
 
 from . import oracle
 from .core import (
-    BOTH,
-    BWD,
     DIGRAPH,
     FWD,
     MAX_VERTICES,
-    NO_ARC,
     ORIENTED,
     BlowupSpec,
     CapacityError,
@@ -66,18 +63,13 @@ from .core import (
     Weight,
     WeightedValue,
     make_dtr,
-    pair_index,
     pair_list,
     require_mode,
     turan_part_sizes,
 )
-from .embed import arc_completes_blowup, is_free
+from .embed import _in_masks, arc_completes_blowup, is_free
 
 EDIT_MAX_VERTICES = 12
-
-#: arc edits needed on a pair that ends up inside a part / across parts
-_INSIDE_COST = {NO_ARC: 0, FWD: 1, BWD: 1, BOTH: 2}
-_CROSS_COST = {NO_ARC: 2, FWD: 1, BWD: 1, BOTH: 0}
 
 
 @dataclass(frozen=True)
@@ -292,10 +284,16 @@ def edit_distance_to_dtr(g: Digraph, r: int) -> EditDistanceResult:
     all partitions with balanced part sizes.
 
     An edit adds or removes one arc: arcs inside a part must go, missing
-    cross arcs must appear (a digon-less cross pair costs 2).  Parts are
+    cross arcs must appear.  So a pair carrying `arcs` arcs (0, 1 or 2)
+    costs `arcs` inside a part and 2 - arcs across parts.  Parts are
     interchangeable, so the search places vertices one at a time and only
     opens the first empty part of each size.  Deterministic: the first
     partition attaining the minimum (in search order) is reported.
+
+    Placing v in part p costs cross[v], the cost of v against every
+    earlier vertex as if all were across, plus 2 * (arcs - 1) for each
+    earlier vertex already in p; the arcs between v and p are two
+    popcounts on the part's member mask.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
@@ -305,35 +303,33 @@ def edit_distance_to_dtr(g: Digraph, r: int) -> EditDistanceResult:
             f"edit distance enumerates partitions and is capped at {EDIT_MAX_VERTICES} vertices"
         )
     sizes = turan_part_sizes(n, r)
+    out, inn = g.out_masks, _in_masks(g)
+    cross = [2 * v - (out[v] & ((1 << v) - 1)).bit_count() - (inn[v] & ((1 << v) - 1)).bit_count()
+             for v in range(n)]
     best: int | None = None
-    best_assign: list[int] | None = None
-    assign = [-1] * n
-    occupancy = [0] * r
+    best_members: list[int] | None = None
+    members = [0] * r
 
     def place(v: int, cost: int):
-        nonlocal best, best_assign
+        nonlocal best, best_members
         if best is not None and cost >= best:
             return
         if v == n:
-            best, best_assign = cost, assign.copy()
+            best, best_members = cost, members.copy()
             return
         for p in range(r):
-            if occupancy[p] == sizes[p]:
+            m = members[p]
+            k = m.bit_count()
+            if k == sizes[p]:
                 continue
-            if occupancy[p] == 0 and any(
-                sizes[q] == sizes[p] and occupancy[q] == 0 for q in range(p)
-            ):
+            if m == 0 and any(sizes[q] == sizes[p] and members[q] == 0 for q in range(p)):
                 continue  # identical empty parts are interchangeable
-            delta = 0
-            for u in range(v):
-                s = g.states[pair_index(n, u, v)]
-                delta += _INSIDE_COST[s] if assign[u] == p else _CROSS_COST[s]
-            assign[v] = p
-            occupancy[p] += 1
+            delta = cross[v] + 2 * ((out[v] & m).bit_count() + (inn[v] & m).bit_count() - k)
+            members[p] = m | 1 << v
             place(v + 1, cost + delta)
-            assign[v] = -1
-            occupancy[p] -= 1
+            members[p] = m
 
     place(0, 0)
-    assert best is not None and best_assign is not None
-    return EditDistanceResult(r=r, distance=best, partition=Partition(r, tuple(best_assign)))
+    assert best is not None and best_members is not None
+    assign = tuple(p for v in range(n) for p in range(r) if best_members[p] >> v & 1)
+    return EditDistanceResult(r=r, distance=best, partition=Partition(r, assign))

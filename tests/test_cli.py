@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -275,3 +277,41 @@ def test_check_cache_keys_by_graph_content_not_path(tmp_path, capsys):
     invoke(capsys, "check", "--graph", str(g2), "--k", "3", "--t", "1",
            "--cache-dir", cache)
     assert len(os.listdir(cache)) == 1
+
+
+# ----------------------------------------------------------------------
+# the parser is built once per process and shared by every run()
+# ----------------------------------------------------------------------
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.delenv("TTLAB_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+
+    # a global flag given to one call does not leak into the next
+    code, out, _ = invoke(capsys, "--format", "csv", "gen", "dtr", "--n", "3", "--r", "2")
+    assert code == 0 and out.startswith("command,")
+    code, out, _ = invoke(capsys, "gen", "dtr", "--n", "3", "--r", "2")
+    assert code == 0 and out == "TDG 3 033\n"
+
+    cache = tmp_path / "cache"
+    invoke(capsys, "gen", "dtr", "--n", "4", "--r", "2", "--cache-dir", str(cache))
+    assert len(os.listdir(cache)) == 1
+    code, _, _ = invoke(capsys, "gen", "dtr", "--n", "5", "--r", "2")
+    assert code == 0
+    assert os.listdir(tmp_path) == ["cache"] and len(os.listdir(cache)) == 1
+
+    query = ("ex", "--n", "4", "--k", "3", "--t", "1")
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from ttlab import cli; "
+         "assert cli._build_parser.cache_info().currsize == 0; "
+         "sys.exit(cli.main(sys.argv[1:]))", *query],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+    ).stdout
+    assert invoke(capsys, "ex", "--n", "4", "--k", "3")[0] == 2
+    assert invoke(capsys, "--help")[0] == 0
+    code, out, err = invoke(capsys, *query)
+    assert code == 0 and err == ""
+    assert out == fresh

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from functools import lru_cache
 from itertools import product
@@ -310,10 +311,44 @@ def test_edit_distance_partition_reproduces_cost():
 def test_edit_distance_matches_assignment_enumeration():
     rng = random.Random(77)
     for _ in range(30):
-        n = rng.randint(2, 5)
+        n = rng.randint(2, 7)
         g = random_digraph(rng, n)
         r = rng.randint(1, 3)
         assert edit_distance_to_dtr(g, r).distance == brute_edit_distance(g, r)
+
+
+def _pinned_edit_instances():
+    """Three graphs for each n = 5..10 and r = 1..4: a uniform random
+    digraph, a sparse one (each pair empty with probability 4/7), and
+    make_dtr(n, r) with three pairs redrawn and the vertices relabelled."""
+    rng = random.Random(909)
+    for n in range(5, 11):
+        for r in range(1, 5):
+            yield random_digraph(rng, n), r
+            yield Digraph(n, tuple(rng.choice((0, 0, 0, 0, 1, 2, 3)) for _ in pair_list(n))), r
+            g = make_dtr(n, r)
+            for _ in range(3):
+                i, j = rng.sample(range(n), 2)
+                g = g.with_pair(min(i, j), max(i, j), rng.randrange(4))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield Digraph.from_arcs(n, [(perm[u], perm[v]) for u, v in g.arcs()]), r
+
+
+#: SHA-256 over "<encoding> <r> <distance> <partition>" lines of the
+#: instances above.  The reported partition is the first minimum in
+#: search order, so a change to that order or to a placement's cost
+#: moves the digest even where the distance stays the same.
+PINNED_EDIT_DIGEST = "e17e62ecb60cb2cd2ddeb4f0b87f14c518f8920b889493c96e3a966c048cf53d"
+
+
+def test_edit_distance_witnesses_are_pinned():
+    lines = []
+    for g, r in _pinned_edit_instances():
+        res = edit_distance_to_dtr(g, r)
+        lines.append(f"{encode(g)} {r} {res.distance} {''.join(map(str, res.partition.assign))}")
+    assert len(lines) == 72
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_EDIT_DIGEST
 
 
 @settings(max_examples=150, deadline=None)
