@@ -81,10 +81,9 @@ def count_free(n: int, spec: BlowupSpec, mode: str = DIGRAPH) -> int:
     return _free_walk(n, spec, mode)[0]
 
 
-def count_free_naive(n: int, spec: BlowupSpec, mode: str = DIGRAPH,
-                     threads: int = 1) -> int:
+def count_free_naive(n: int, spec: BlowupSpec, mode: str = DIGRAPH) -> int:
     """Unpruned full-enumeration count of the same quantity (the oracle)."""
-    return oracle.sweep(n, spec, mode, threads=threads).free_count
+    return oracle.sweep(n, spec, mode).free_count
 
 
 # ======================================================================

@@ -15,8 +15,13 @@ is S_q subset of T(S_p) for all p < q, so the search walks down
     allowed_1 = V,   S_j subset of allowed_j,   allowed_{j+1} = allowed_j & T(S_j)
 
 choosing one t-set per level.  Disjointness is automatic (a vertex never
-sends an arc to itself, so S_j is disjoint from every earlier set), and
-memoising on (allowed, levels remaining) keeps the walk small.
+sends an arc to itself, so S_j is disjoint from every earlier set).  One
+walk, `_chain`, answers both questions asked of it: "is there a chain?"
+(`chain_exists`) and "is there one placing u on an earlier level than
+v?" (`arc_completes_blowup`), where u and v are pending vertices that
+each level either hosts in turn or avoids.  Memoising on (allowed,
+levels remaining, phase), the phase being how many pending vertices are
+still to place, keeps the walk small.
 """
 
 from __future__ import annotations
@@ -139,38 +144,57 @@ def chain_exists(out_masks, allowed: int, levels: int, t: int, memo=None) -> boo
     fresh memo dict is used unless one is passed in (callers testing many
     masks of the same digraph share one).
     """
-    if memo is None:
-        memo = {}
+    return _chain(out_masks, allowed, levels, t, {} if memo is None else memo, ())
 
-    def can(allowed: int, r: int) -> bool:
-        if r == 0:
-            return True
-        if allowed.bit_count() < r * t:
-            return False
-        key = (allowed, r)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        bits = []
-        m = allowed
-        while m:
-            bits.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        result = False
-        for sel in combinations(bits, t):
-            nxt = allowed
-            for u in sel:
-                nxt &= out_masks[u]
-                if nxt.bit_count() < (r - 1) * t:
+
+def _chain(out_masks, allowed: int, levels: int, t: int, memo: dict, pending: tuple) -> bool:
+    """The level-chain search: is there a chain of `levels` disjoint t-sets
+    inside `allowed` that places the vertices of `pending` in order, each
+    on a strictly later level than the one before?
+
+    A level either hosts pending[0] (its out-mask plus t - 1 others) or
+    avoids every pending vertex (t others).  The phase is len(pending),
+    the vertices still to place, and the memo maps (allowed, levels,
+    phase) to the answer; so calls may share a memo only if they share
+    out_masks, t and the pending tuple they start from.  It is a
+    module-level function, not a closure: making a closure per call took
+    longer than a call answered from the memo.
+    """
+    if levels == 0:
+        return not pending
+    need = 0
+    for w in pending:
+        need |= 1 << w
+    if allowed.bit_count() < levels * t or levels < len(pending) or allowed & need != need:
+        return False
+    key = (allowed, levels, len(pending))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    bits = []
+    m = allowed & ~need
+    while m:
+        bits.append((m & -m).bit_length() - 1)
+        m &= m - 1
+    floor = (levels - 1) * t
+    # ways to fill this level: (allowed, cut by the out-mask of the pending
+    # vertex it hosts, if any; vertices still to choose; pending after it)
+    fills = [(allowed, t, pending)]
+    if pending:
+        fills.insert(0, (allowed & out_masks[pending[0]], t - 1, pending[1:]))
+    for base, size, rest in fills:
+        for sel in combinations(bits, size):
+            nxt = base
+            for w in sel:
+                nxt &= out_masks[w]
+                if nxt.bit_count() < floor:
                     break
             else:
-                if can(nxt, r - 1):
-                    result = True
-                    break
-        memo[key] = result
-        return result
-
-    return can(allowed, levels)
+                if _chain(out_masks, nxt, levels - 1, t, memo, rest):
+                    memo[key] = True
+                    return True
+    memo[key] = False
+    return False
 
 
 def is_free(g: Digraph, spec: BlowupSpec) -> bool:
@@ -243,7 +267,7 @@ def arc_completes_blowup(out_masks, n: int, k: int, t: int, u: int, v: int) -> b
         return _ordered_chain(out_masks, (before, between, after),
                               (before | between | after, between | after, after),
                               0, (1 << n) - 1, k - 2, {})
-    return _pending_chain(out_masks, n, k, t, u, v)
+    return _chain(out_masks, (1 << n) - 1, k, t, {}, (u, v))
 
 
 def _ordered_chain(out_masks, regions, suffix, r: int, allowed: int, left: int,
@@ -274,50 +298,6 @@ def _ordered_chain(out_masks, regions, suffix, r: int, allowed: int, left: int,
             break
     memo[key] = result
     return result
-
-
-def _pending_chain(out_masks, n: int, k: int, t: int, u: int, v: int) -> bool:
-    """The level-chain search of `chain_exists`, with u and then v waiting
-    to be placed: phase p means the first p of (u, v) sit on earlier
-    levels.  A level either hosts the next pending vertex or avoids both."""
-    need = (1 << u | 1 << v, 1 << v, 0)
-    # per phase, the ways to fill a level: (out-mask of the pending vertex
-    # it hosts, or -1 for none; vertices still to choose; next phase)
-    fills = (((out_masks[u], t - 1, 1), (-1, t, 0)),
-             ((out_masks[v], t - 1, 2), (-1, t, 1)),
-             ((-1, t, 2),))
-    memo: dict[tuple[int, int, int], bool] = {}
-
-    def can(allowed: int, r: int, phase: int) -> bool:
-        if r == 0:
-            return phase == 2
-        if allowed.bit_count() < r * t or r < 2 - phase or allowed & need[phase] != need[phase]:
-            return False
-        key = (allowed, r, phase)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        bits = []
-        m = allowed & ~need[phase]
-        while m:
-            bits.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        result = False
-        for head_out, size, nxt_phase in fills[phase]:
-            base = allowed & head_out
-            for rest in combinations(bits, size):
-                nxt = base
-                for w in rest:
-                    nxt &= out_masks[w]
-                if can(nxt, r - 1, nxt_phase):
-                    result = True
-                    break
-            if result:
-                break
-        memo[key] = result
-        return result
-
-    return can((1 << n) - 1, k, 0)
 
 
 # ======================================================================

@@ -33,7 +33,6 @@ that the sweep refuses rather than grind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, product
 from math import comb
 
@@ -140,12 +139,10 @@ def _chain_walk(outs, sets, t, found, allowed, used, levels):
             _chain_walk(outs, sets, t, found, nxt, used | mask, levels - 1)
 
 
-def _contains_chunk(outs, n, k, t, f1, f2):
-    """Bool column: which graphs of the block contain blowup(k, t).
+def _contains_chunk(outs, n, k, t, rows):
+    """Bool column: which of the block's `rows` graphs contain blowup(k, t).
 
-    f1 gives the row count (outs is empty when n = 0); f2 is unused but
-    stays in the signature that perfbench's tracer wraps."""
-    rows = f1.shape[0]
+    The row count is passed because outs is empty when n = 0."""
     if k * t > n:
         return np.zeros(rows, bool)
     if k == 1:
@@ -196,7 +193,7 @@ def _block(hi, lo, h0, h1):
 
 def _sweep_block(n, k, t, hi, lo, h0, h1):
     outs, f1, f2 = _block(hi, lo, h0, h1)
-    free = ~_contains_chunk(outs, n, k, t, f1, f2)
+    free = ~_contains_chunk(outs, n, k, t, f1.shape[0])
     base = h0 * lo[1].shape[0]
     cells: dict[int, tuple[int, int]] = {}
     if free.any():
@@ -205,13 +202,6 @@ def _sweep_block(n, k, t, hi, lo, h0, h1):
             f1m = f1[sel].max()
             cells[int(v)] = (int(f1m), base + int(np.argmax(sel & (f1 == f1m))))
     return int(free.sum()), cells
-
-
-def _merge_cells(target: dict, cells: dict):
-    for f2v, (f1m, mi) in cells.items():
-        cur = target.get(f2v)
-        if cur is None or f1m > cur[0] or (f1m == cur[0] and mi < cur[1]):
-            target[f2v] = (f1m, mi)
 
 
 _SWEEPS: dict[tuple, SweepSummary] = {}
@@ -229,9 +219,15 @@ def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1,
     The default was the fastest size measured: the seven `oracle_sweep`
     benchmark jobs took 0.64-0.75 s in all at 2^15 graphs a block,
     0.71-0.81 s at 2^17, 1.1-1.2 s at 2^19 and 1.5-1.7 s at 2^13 (three
-    fresh-process runs each on a 2-core Xeon VM).  threads > 1 tests
-    blocks on a thread pool (numpy drops the interpreter lock inside its
-    loops); ties still go to the smallest index."""
+    fresh-process runs each on a 2-core Xeon VM).
+
+    Blocks run one after another, in index order: a thread pool over
+    blocks was slower on every sweep measured (oriented n = 6 T_2^2
+    0.56 s against 0.42 s, T_3^2 2.42 s against 1.50 s).  threads must
+    be 1; the keyword stays only because the benchmark worker
+    (perfbench/worker.py) passes threads=1."""
+    if threads != 1:
+        raise ValueError(f"sweep runs serially; threads must be 1, got {threads}")
     require_mode(mode)
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -244,29 +240,23 @@ def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1,
     if hit is not None:
         return hit
 
-    total = _RADIX[mode] ** comb(n, 2)
     hi, lo = _decode_tables(n, mode)
     hi_rows = hi[1].shape[0]
     per = max(1, chunk // lo[1].shape[0])
-    blocks = [(h, min(h + per, hi_rows)) for h in range(0, hi_rows, per)]
-
-    def run(block):
-        return _sweep_block(n, spec.k, spec.t, hi, lo, *block)
-
     free_count = 0
     frontier: dict[int, tuple[int, int]] = {}
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, blocks))
-    else:
-        parts = map(run, blocks)
-    for cnt, cells in parts:
+    for h0 in range(0, hi_rows, per):
+        cnt, cells = _sweep_block(n, spec.k, spec.t, hi, lo, h0, min(h0 + per, hi_rows))
         free_count += cnt
-        _merge_cells(frontier, cells)
+        # blocks come in index order, so an equal f1 keeps the earlier cell
+        for f2v, cell in cells.items():
+            cur = frontier.get(f2v)
+            if cur is None or cell[0] > cur[0]:
+                frontier[f2v] = cell
 
     summary = SweepSummary(
         n=n, mode=mode, k=spec.k, t=spec.t,
-        total=total, free_count=free_count, frontier=frontier,
+        total=_RADIX[mode] ** comb(n, 2), free_count=free_count, frontier=frontier,
     )
     _SWEEPS[key] = summary
     return summary

@@ -251,15 +251,14 @@ def _extremal_step(n: int, spec: BlowupSpec, a: Weight, mode: str,
                             for i, j in pair_list(n))), explored
 
 
-def extremal_naive(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH,
-                   threads: int = 1) -> ExtremalResult:
+def extremal_naive(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> ExtremalResult:
     """Same maximum as `extremal`, by unpruned full enumeration.
 
     Capped at n <= 5 (digraph mode) / n <= 6 (oriented mode).  The
     witness is the encode-minimal optimum over *all* graphs, and
     `explored` is the full state-space size.
     """
-    summary = oracle.sweep(n, spec, mode, threads=threads)
+    summary = oracle.sweep(n, spec, mode)
     if not summary.frontier:
         # only possible when k = 1 and n >= t: every digraph contains the pattern
         raise ValueError(f"no {spec}-free digraphs on {n} vertices")

@@ -27,7 +27,7 @@ from ttlab import (
     is_free,
     partition_ok,
 )
-from ttlab.embed import _pending_chain, arc_completes_blowup
+from ttlab.embed import _chain, arc_completes_blowup
 
 from test_core import random_digraph
 
@@ -235,6 +235,23 @@ def test_arc_completes_blowup_against_enumeration():
         assert got == brute_completes(g, k, 1, u, v), (g, k, u, v)
         seen.add((k, got))
     assert seen == {(k, b) for k in range(2, 6) for b in (False, True)}
+    # k = 3, t = 2 returns before any walk while n < 6: the level-chain
+    # walk with u and v pending, on 6 and 7 vertices, both answers.  Dense
+    # hosts are where a walk that hosts a vertex outside `allowed` errs
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(6, 7)
+        density = rng.choice((0.6, 0.8, 0.9, 0.95))
+        g = Digraph(n, tuple(rng.choice((1, 2, 3)) if rng.random() < density else 0
+                             for _ in range(n * (n - 1) // 2)))
+        u, v = rng.sample(range(n), 2)
+        if rng.random() < 0.9 and not g.has_arc(u, v):
+            g = add_arc(g, u, v)
+        got = arc_completes_blowup(g.out_masks, n, 3, 2, u, v)
+        assert got == brute_completes(g, 3, 2, u, v), (g, u, v)
+        seen.add((n, got))
+    assert seen == {(n, b) for n in (6, 7) for b in (False, True)}
     # 3 sits both before u = 0 and after v = 1; reached after 2 (after v)
     # it must stay after v, so 4 (before u) cannot follow it
     g = Digraph.from_arcs(6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 0), (1, 3), (3, 1),
@@ -259,7 +276,7 @@ def test_arc_completes_blowup_k2_shortcut_against_enumeration():
             g = add_arc(g, u, v)
         got = arc_completes_blowup(g.out_masks, n, 2, t, u, v)
         assert got == brute_completes(g, 2, t, u, v), (g, t, u, v)
-        assert got == _pending_chain(g.out_masks, n, 2, t, u, v)
+        assert got == _chain(g.out_masks, (1 << n) - 1, 2, t, {}, (u, v))
         seen.add((t, got))
     assert seen == {(t, b) for t in (2, 3) for b in (False, True)}
 

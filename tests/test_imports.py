@@ -1,5 +1,6 @@
-"""Every name a ttlab module imports is used in that module, and every
-private module-level name is used somewhere in the package.
+"""Every name a ttlab module imports is used in that module, every
+private module-level name is used somewhere in the package, and the
+oracle imports no ttlab module but `core`.
 
 No linter ships with the project, so this reads each module's syntax
 tree: a name bound by an import statement must appear somewhere in the
@@ -7,7 +8,9 @@ module as a plain name (which covers attribute access on it, calls and
 annotations).  The package `__init__` only re-exports and is skipped.
 A module-level function, class or assignment whose name starts with `_`
 must be read by some other top-level statement of the package, so a
-helper left behind when its last caller goes is caught.
+helper left behind when its last caller goes is caught.  The oracle is
+the independent check on `embed`, `search` and `census`, so it may not
+import them, directly or through the package.
 """
 
 from __future__ import annotations
@@ -92,3 +95,40 @@ def test_unreferenced_private_names_finds_a_leftover():
 def test_every_private_module_name_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The ttlab modules a module's source imports, at any depth: relative
+    imports and absolute ones, `from . import x` counting x as a module.
+    A bare `import ttlab` counts as "ttlab", the whole package."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "ttlab":
+                    found.add(parts[1] if len(parts) > 1 else "ttlab")
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "ttlab":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:  # from .core import x, from ttlab.core import x
+                found.add(parts[0])
+            else:  # from . import embed, from ttlab import embed
+                found.update(a.name for a in node.names)
+    return found
+
+
+def test_package_imports_finds_every_form():
+    source = ("import numpy as np\nfrom itertools import product\nfrom .core import Digraph\n"
+              "from . import embed\nfrom ttlab.search import extremal\nimport ttlab.census\n"
+              "def f():\n    from ttlab import cli\n    import ttlab\n")
+    assert package_imports(source) == {"core", "embed", "search", "census", "cli", "ttlab"}
+
+
+def test_oracle_imports_only_core():
+    # the oracle checks the search code, so it must share none of it
+    source = (SRC / "oracle.py").read_text(encoding="utf-8")
+    assert package_imports(source) == {"core"}

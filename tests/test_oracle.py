@@ -79,12 +79,9 @@ def test_block_decode_matches_graph_from_index(n, mode, data):
     assert (int(f1[pos]), int(f2[pos])) == (want.f1, want.f2)
 
 
-def chunk_args(n, rows):
-    """_contains_chunk's arguments for a block of graphs given as state rows."""
-    states = np.array(rows, np.uint8).reshape(len(rows), comb(n, 2))
-    f1 = ((states == 1) | (states == 2)).sum(axis=1, dtype=np.int16)
-    f2 = (states == 3).sum(axis=1, dtype=np.int16)
-    return oracle._out_columns(states, n), f1, f2
+def out_columns(n, rows):
+    """The out-mask columns of a block of graphs given as state rows."""
+    return oracle._out_columns(np.array(rows, np.uint8).reshape(len(rows), comb(n, 2)), n)
 
 
 @st.composite
@@ -104,8 +101,7 @@ def blocks(draw):
 @given(block=blocks())
 def test_contains_chunk_matches_backtracker_row_by_row(block):
     n, k, t, rows = block
-    outs, f1, f2 = chunk_args(n, rows)
-    found = oracle._contains_chunk(outs, n, k, t, f1, f2)
+    found = oracle._contains_chunk(out_columns(n, rows), n, k, t, len(rows))
     h = blowup(k, t)
     assert found.tolist() == [contains(Digraph(n, tuple(r)), h) is not None for r in rows]
 
@@ -114,12 +110,12 @@ def test_contains_chunk_leaves_no_garbage():
     # a reference cycle would keep each block's columns alive until the
     # collector runs, which shows as peak memory over a sweep
     rng = np.random.default_rng(7)
-    outs, f1, f2 = chunk_args(6, rng.integers(0, 4, (4096, comb(6, 2))))
+    outs = out_columns(6, rng.integers(0, 4, (4096, comb(6, 2))))
     gc.collect()
     gc.disable()
     try:
         for k in range(2, 6):
-            oracle._contains_chunk(outs, 6, k, 1, f1, f2)
+            oracle._contains_chunk(outs, 6, k, 1, 4096)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -135,18 +131,25 @@ def test_digraph_n5_frontier_cells_decode_to_free_graphs(spec):
         assert is_free(g, spec)
 
 
-def test_sweep_is_memoised_and_thread_count_is_immaterial():
+def test_sweep_is_memoised():
     base = sweep(4, BlowupSpec(3, 1), DIGRAPH)
-    again = sweep(4, BlowupSpec(3, 1), DIGRAPH, threads=3, chunk=64)
+    again = sweep(4, BlowupSpec(3, 1), DIGRAPH, chunk=64)
     assert again is base  # cached summary object
 
 
-def test_sweep_threads_agree_on_fresh_computation():
-    one = sweep(5, BlowupSpec(4, 1), DIGRAPH, threads=1)
-    # drop the memo so the threaded run actually recomputes
+def test_sweep_block_size_is_immaterial_on_fresh_computation():
+    one = sweep(5, BlowupSpec(4, 1), DIGRAPH)
+    # drop the memo so the run over smaller blocks actually recomputes
     oracle._SWEEPS.pop((5, DIGRAPH, 4, 1))
-    two = sweep(5, BlowupSpec(4, 1), DIGRAPH, threads=4, chunk=1 << 12)
-    assert one == two
+    many = sweep(5, BlowupSpec(4, 1), DIGRAPH, chunk=1 << 12)
+    assert many is not one
+    assert many == one
+
+
+def test_sweep_refuses_more_than_one_thread():
+    with pytest.raises(ValueError):
+        sweep(3, BlowupSpec(2, 1), DIGRAPH, threads=2)
+    assert sweep(3, BlowupSpec(2, 1), DIGRAPH, threads=1).total == 4 ** 3
 
 
 def test_sweep_capacity_bounds():
