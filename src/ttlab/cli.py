@@ -24,9 +24,17 @@ counts travel as decimal strings so arbitrarily large values survive
 every JSON parser.  CSV mode emits a fixed header per subcommand and one
 data row.
 
-The argparse tree is built once per process, on the first run() call,
-and reused by every later call: building it takes about 30 times as
-long as parsing one command line.  Importing the module builds nothing.
+Each subcommand is declared once, as a `_COMMANDS` entry mapping
+(command, second word or None) to (help, options, compute).  Options
+are named from `_OPTIONS` and `_GROUPS` names the parameter that holds
+a second word (gen -> construction, count -> variant).  The parser is
+built by looping over the table, and run() derives the record's params
+from the options: a graph by the TDG string of the file's digraph, a
+weight by its token, every other option as parsed.  compute(args) runs
+only on a cache miss.  The argparse tree is built once per process, on
+the first run() call, and reused by every later call: building it takes
+about 30 times as long as parsing one command line.  Importing the
+module builds nothing.
 
 Exit codes: 0 success; 1 domain error (capacity refusal, malformed
 graph file, invalid parameter value); 2 usage error (unknown subcommand
@@ -36,9 +44,14 @@ Cache: results are keyed by the SHA-256 of the canonical serialisation
 of {command, params, version, source}, where source is a SHA-256 of the
 package's own .py files, so a cache written by other code is never
 replayed; graph files enter the key by content (their TDG string), not
-by path.  Entries are write-once JSON files, written atomically, never
-modified: a hit replays the stored record byte for byte (including the
-original runtime_ms).  The record itself does not carry the source
+by path.  Entries are write-once JSON files <key>.json, never modified.
+A store writes <key>.json.<pid>.<thread id>.tmp, a name unique per live
+writer that the cache never reads, and renames it into place.  A hit
+replays the stored record byte for byte (including the original
+runtime_ms), but only if the payload is a dict stored under the key
+asked for and its record has the five record fields and a command and
+params that hash to that key; any other entry warns on stderr and the
+result is computed afresh.  The record itself does not carry the source
 hash.  An unwritable cache directory is a warning, never a failure.
 """
 
@@ -51,8 +64,8 @@ import io
 import json
 import os
 import sys
-import tempfile
-from dataclasses import dataclass
+import threading
+from contextlib import suppress
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
@@ -81,11 +94,7 @@ ENV_CACHE_DIR = "TTLAB_CACHE_DIR"
 # cache
 # ======================================================================
 
-@dataclass(frozen=True)
-class CacheEntry:
-    key: str
-    created_at: str
-    record: dict
+_RECORD_FIELDS = {"command", "params", "result", "version", "runtime_ms"}
 
 
 @cache
@@ -110,41 +119,146 @@ def cache_key(command: str, params: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def cache_lookup(key: str, cache_dir: str) -> CacheEntry | None:
+def cache_lookup(key: str, cache_dir: str) -> dict | None:
+    """The record stored under key, or None.  A payload replays only if it
+    is a dict stored under this key whose record has the five record
+    fields and whose own command and params hash to this key; anything
+    else warns and reads as a miss.  The file stays: entries are write-once."""
     path = os.path.join(cache_dir, key + ".json")
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        return CacheEntry(key=payload["key"], created_at=payload["created_at"],
-                          record=payload["record"])
     except FileNotFoundError:
         return None
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"warning: ignoring unreadable cache entry {path}: {exc}", file=sys.stderr)
-        return None
+    except (OSError, ValueError) as exc:
+        reason = exc
+    else:
+        record = payload.get("record") if isinstance(payload, dict) else None
+        if (isinstance(record, dict) and payload.get("key") == key
+                and record.keys() == _RECORD_FIELDS
+                and cache_key(record["command"], record["params"]) == key):
+            return record
+        reason = "not a record of this query"
+    print(f"warning: ignoring unreadable cache entry {path}: {reason}", file=sys.stderr)
+    return None
 
 
-def cache_store(entry: CacheEntry, cache_dir: str) -> None:
+def cache_store(key: str, record: dict, cache_dir: str) -> None:
     """Write-once, atomic, best-effort.  Concurrent writers of the same
     key race to os.replace the same content; whoever loses changed nothing."""
-    path = os.path.join(cache_dir, entry.key + ".json")
+    path = os.path.join(cache_dir, key + ".json")
+    # unique per live writer, and not ending in .json
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         os.makedirs(cache_dir, exist_ok=True)
         if os.path.exists(path):
             return
-        payload = {"key": entry.key, "created_at": entry.created_at,
-                   "record": entry.record}
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload, sort_keys=True))
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        payload = {"key": key, "created_at": datetime.now(timezone.utc).isoformat(),
+                   "record": record}
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload, sort_keys=True))
+        os.replace(tmp, path)
     except OSError as exc:
+        with suppress(OSError):
+            os.unlink(tmp)
         print(f"warning: cache directory unusable ({exc}); continuing uncached",
               file=sys.stderr)
+
+
+# ======================================================================
+# subcommands: one _COMMANDS entry each
+# ======================================================================
+
+_OPTIONS = {
+    "n": {"type": int, "required": True},
+    "r": {"type": int, "required": True},
+    "k": {"type": int, "required": True},
+    "t": {"type": int, "required": True},
+    "graph": {"required": True, "help": "file holding one TDG line"},
+    "weight": {"default": "2", "help": "2, log3, or p/q in (3/2, 2]"},
+    "mode": {"choices": MODES, "default": DIGRAPH},
+}
+
+# command -> (parameter naming the second word, help)
+_GROUPS = {
+    "gen": ("construction", "emit a named construction"),
+    "count": ("variant", "labelled counts"),
+}
+
+
+def _construction(g):
+    return {"encoding": encode(g), "n": g.n, "f1": g.f1, "f2": g.f2}
+
+
+def _check(args):
+    spec = BlowupSpec(args.k, args.t)
+    free = is_free(args.graph, spec)
+    witness = None
+    if not free:
+        witness = list(contains(args.graph, spec.realize()).mapping)
+    return {"free": free, "witness": witness}
+
+
+def _ex(args):
+    res = extremal(args.n, BlowupSpec(args.k, args.t), args.weight, args.mode)
+    exact = res.best.exact
+    return {
+        "f1": res.best.f1,
+        "f2": res.best.f2,
+        "value_exact": None if exact is None else str(exact),
+        "value_float": res.best.approx,
+        "witness": encode(res.witness),
+        "explored": str(res.explored),
+    }
+
+
+def _ratio(args):
+    rep = ratio_report(args.n, args.r, args.t, args.mode)
+    return {
+        "free_count": str(rep.free_count),
+        "partite_count": str(rep.partite_count),
+        "ratio": str(rep.ratio),
+        "ratio_float": float(rep.ratio),
+        "lower_bound": str(rep.lower_bound),
+        "lower_bound_note": rep.lower_bound_note,
+    }
+
+
+def _mh(args):
+    d = density_m(BlowupSpec(args.k, args.t))
+    exponent = 2 - Fraction(1) / d.m
+    return {
+        "m": str(d.m),
+        "exponent": str(exponent),
+        "exponent_float": float(exponent),
+        "argmax_subgraph": encode(d.argmax_subgraph),
+        "bound_shape": f"c * N^({exponent}) * log N",
+    }
+
+
+def _editdist(args):
+    res = edit_distance_to_dtr(args.graph, args.r)
+    return {"distance": res.distance, "partition": list(res.partition.assign)}
+
+
+_COMMANDS = {
+    ("gen", "dtr"): ("bidirected Turan digraph", ("n", "r"),
+                     lambda args: _construction(make_dtr(args.n, args.r))),
+    ("gen", "blowup"): ("transitive-tournament blow-up", ("k", "t"),
+                        lambda args: _construction(blowup(args.k, args.t))),
+    ("check", None): ("freeness of a stored digraph", ("graph", "k", "t"), _check),
+    ("ex", None): ("exact weighted extremal value", ("n", "k", "t", "weight", "mode"), _ex),
+    ("count", "free"): (
+        "blow-up-free digraphs", ("n", "k", "t", "mode"),
+        lambda args: {"count": str(count_free(args.n, BlowupSpec(args.k, args.t), args.mode))}),
+    ("count", "partite"): (
+        "digraphs admitting a good r-partition", ("n", "r", "t", "mode"),
+        lambda args: {"count": str(count_partite(args.n, args.r, args.t, args.mode))}),
+    ("ratio", None): ("free vs partite census report", ("n", "r", "t", "mode"), _ratio),
+    ("mh", None): ("subgraph density m(H) and exponent", ("k", "t"), _mh),
+    ("editdist", None): ("arc edits to the bidirected Turan digraph", ("graph", "r"),
+                         _editdist),
+}
 
 
 # ======================================================================
@@ -171,188 +285,19 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("gen", parents=[common], help="emit a named construction")
-    gen_sub = p_gen.add_subparsers(dest="construction", required=True)
-    g_dtr = gen_sub.add_parser("dtr", parents=[common], help="bidirected Turan digraph")
-    g_dtr.add_argument("--n", type=int, required=True)
-    g_dtr.add_argument("--r", type=int, required=True)
-    g_blow = gen_sub.add_parser("blowup", parents=[common], help="transitive-tournament blow-up")
-    g_blow.add_argument("--k", type=int, required=True)
-    g_blow.add_argument("--t", type=int, required=True)
-
-    p_check = sub.add_parser("check", parents=[common], help="freeness of a stored digraph")
-    p_check.add_argument("--graph", required=True, help="file holding one TDG line")
-    p_check.add_argument("--k", type=int, required=True)
-    p_check.add_argument("--t", type=int, required=True)
-
-    p_ex = sub.add_parser("ex", parents=[common], help="exact weighted extremal value")
-    p_ex.add_argument("--n", type=int, required=True)
-    p_ex.add_argument("--k", type=int, required=True)
-    p_ex.add_argument("--t", type=int, required=True)
-    p_ex.add_argument("--weight", default="2", help="2, log3, or p/q in (3/2, 2]")
-    p_ex.add_argument("--mode", choices=MODES, default=DIGRAPH)
-
-    p_count = sub.add_parser("count", parents=[common], help="labelled counts")
-    count_sub = p_count.add_subparsers(dest="variant", required=True)
-    c_free = count_sub.add_parser("free", parents=[common], help="blow-up-free digraphs")
-    c_free.add_argument("--n", type=int, required=True)
-    c_free.add_argument("--k", type=int, required=True)
-    c_free.add_argument("--t", type=int, required=True)
-    c_free.add_argument("--mode", choices=MODES, default=DIGRAPH)
-    c_part = count_sub.add_parser("partite", parents=[common],
-                                  help="digraphs admitting a good r-partition")
-    c_part.add_argument("--n", type=int, required=True)
-    c_part.add_argument("--r", type=int, required=True)
-    c_part.add_argument("--t", type=int, required=True)
-    c_part.add_argument("--mode", choices=MODES, default=DIGRAPH)
-
-    p_ratio = sub.add_parser("ratio", parents=[common], help="free vs partite census report")
-    p_ratio.add_argument("--n", type=int, required=True)
-    p_ratio.add_argument("--r", type=int, required=True)
-    p_ratio.add_argument("--t", type=int, required=True)
-    p_ratio.add_argument("--mode", choices=MODES, default=DIGRAPH)
-
-    p_mh = sub.add_parser("mh", parents=[common], help="subgraph density m(H) and exponent")
-    p_mh.add_argument("--k", type=int, required=True)
-    p_mh.add_argument("--t", type=int, required=True)
-
-    p_edit = sub.add_parser("editdist", parents=[common],
-                            help="arc edits to the bidirected Turan digraph")
-    p_edit.add_argument("--graph", required=True, help="file holding one TDG line")
-    p_edit.add_argument("--r", type=int, required=True)
-
+    groups = {}
+    for (command, word), (help_text, options, _) in _COMMANDS.items():
+        if word is None:
+            p = sub.add_parser(command, parents=[common], help=help_text)
+        else:
+            if command not in groups:
+                dest, group_help = _GROUPS[command]
+                group = sub.add_parser(command, parents=[common], help=group_help)
+                groups[command] = group.add_subparsers(dest=dest, required=True)
+            p = groups[command].add_parser(word, parents=[common], help=help_text)
+        for name in options:
+            p.add_argument("--" + name, **_OPTIONS[name])
     return parser
-
-
-def _read_graph_file(path: str):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read().strip()
-    return decode(text)
-
-
-# ======================================================================
-# handlers: each returns (params, thunk); the thunk does the real work
-# so that a cache hit skips it entirely
-# ======================================================================
-
-def _handle_gen(args):
-    if args.construction == "dtr":
-        params = {"construction": "dtr", "n": args.n, "r": args.r}
-
-        def compute():
-            g = make_dtr(args.n, args.r)
-            return {"encoding": encode(g), "n": g.n, "f1": g.f1, "f2": g.f2}
-    else:
-        params = {"construction": "blowup", "k": args.k, "t": args.t}
-
-        def compute():
-            g = blowup(args.k, args.t)
-            return {"encoding": encode(g), "n": g.n, "f1": g.f1, "f2": g.f2}
-    return params, compute
-
-
-def _handle_check(args):
-    g = _read_graph_file(args.graph)
-    params = {"graph": encode(g), "k": args.k, "t": args.t}
-
-    def compute():
-        spec = BlowupSpec(args.k, args.t)
-        free = is_free(g, spec)
-        witness = None
-        if not free:
-            witness = list(contains(g, spec.realize()).mapping)
-        return {"free": free, "witness": witness}
-    return params, compute
-
-
-def _handle_ex(args):
-    a = Weight.parse(args.weight)
-    params = {"n": args.n, "k": args.k, "t": args.t,
-              "weight": a.token, "mode": args.mode}
-
-    def compute():
-        res = extremal(args.n, BlowupSpec(args.k, args.t), a, args.mode)
-        exact = res.best.exact
-        return {
-            "f1": res.best.f1,
-            "f2": res.best.f2,
-            "value_exact": None if exact is None else str(exact),
-            "value_float": res.best.approx,
-            "witness": encode(res.witness),
-            "explored": str(res.explored),
-        }
-    return params, compute
-
-
-def _handle_count(args):
-    if args.variant == "free":
-        params = {"variant": "free", "n": args.n, "k": args.k, "t": args.t,
-                  "mode": args.mode}
-
-        def compute():
-            value = count_free(args.n, BlowupSpec(args.k, args.t), args.mode)
-            return {"count": str(value)}
-    else:
-        params = {"variant": "partite", "n": args.n, "r": args.r, "t": args.t,
-                  "mode": args.mode}
-
-        def compute():
-            return {"count": str(count_partite(args.n, args.r, args.t, args.mode))}
-    return params, compute
-
-
-def _handle_ratio(args):
-    params = {"n": args.n, "r": args.r, "t": args.t, "mode": args.mode}
-
-    def compute():
-        rep = ratio_report(args.n, args.r, args.t, args.mode)
-        return {
-            "free_count": str(rep.free_count),
-            "partite_count": str(rep.partite_count),
-            "ratio": str(rep.ratio),
-            "ratio_float": float(rep.ratio),
-            "lower_bound": str(rep.lower_bound),
-            "lower_bound_note": rep.lower_bound_note,
-        }
-    return params, compute
-
-
-def _handle_mh(args):
-    params = {"k": args.k, "t": args.t}
-
-    def compute():
-        d = density_m(BlowupSpec(args.k, args.t))
-        exponent = 2 - Fraction(1) / d.m
-        return {
-            "m": str(d.m),
-            "exponent": str(exponent),
-            "exponent_float": float(exponent),
-            "argmax_subgraph": encode(d.argmax_subgraph),
-            "bound_shape": f"c * N^({exponent}) * log N",
-        }
-    return params, compute
-
-
-def _handle_editdist(args):
-    g = _read_graph_file(args.graph)
-    params = {"graph": encode(g), "r": args.r}
-
-    def compute():
-        res = edit_distance_to_dtr(g, args.r)
-        return {"distance": res.distance, "partition": list(res.partition.assign)}
-    return params, compute
-
-
-_HANDLERS = {
-    "gen": _handle_gen,
-    "check": _handle_check,
-    "ex": _handle_ex,
-    "count": _handle_count,
-    "ratio": _handle_ratio,
-    "mh": _handle_mh,
-    "editdist": _handle_editdist,
-}
 
 
 # ======================================================================
@@ -459,15 +404,31 @@ def run(argv) -> int:
     fmt = getattr(args, "format", None) or "text"
     cache_dir = getattr(args, "cache_dir", None) or os.environ.get(ENV_CACHE_DIR) or None
 
+    dest = _GROUPS[args.command][0] if args.command in _GROUPS else None
+    word = getattr(args, dest) if dest else None
+    _, options, compute = _COMMANDS[args.command, word]
+
     try:
-        params, compute = _HANDLERS[args.command](args)
+        # the params of the record and the key: a graph by its content, a
+        # weight by its token; args gets the parsed objects for compute
+        params = {dest: word} if dest else {}
+        for name in options:
+            value = getattr(args, name)
+            if name == "graph":
+                with open(value, encoding="utf-8") as fh:
+                    value = decode(fh.read().strip())
+                params[name] = encode(value)
+            elif name == "weight":
+                value = Weight.parse(value)
+                params[name] = value.token
+            else:
+                params[name] = value
+            setattr(args, name, value)
         key = cache_key(args.command, params)
-        entry = cache_lookup(key, cache_dir) if cache_dir else None
-        if entry is not None:
-            record = entry.record
-        else:
+        record = cache_lookup(key, cache_dir) if cache_dir else None
+        if record is None:
             start = perf_counter()
-            result = compute()
+            result = compute(args)
             elapsed_ms = round((perf_counter() - start) * 1000.0, 3)
             record = {
                 "command": args.command,
@@ -477,8 +438,7 @@ def run(argv) -> int:
                 "runtime_ms": elapsed_ms,
             }
             if cache_dir:
-                stamp = datetime.now(timezone.utc).isoformat()
-                cache_store(CacheEntry(key, stamp, record), cache_dir)
+                cache_store(key, record, cache_dir)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

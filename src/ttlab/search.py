@@ -262,18 +262,14 @@ def extremal_naive(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> 
     if not summary.frontier:
         # only possible when k = 1 and n >= t: every digraph contains the pattern
         raise ValueError(f"no {spec}-free digraphs on {n} vertices")
-    best_pair: tuple[int, int] | None = None
-    best_idx = -1
-    for f2v in sorted(summary.frontier):
-        f1m, mi = summary.frontier[f2v]
-        if best_pair is None or a.compare((f1m, f2v), best_pair) > 0:
-            best_pair, best_idx = (f1m, f2v), mi
-        elif a.compare((f1m, f2v), best_pair) == 0 and mi < best_idx:
-            best_idx = mi
+    # frontier cells hold distinct indices, so the optimum of smallest
+    # index wins and f1, f2 never decide
+    _, neg_index, f1, f2 = max((a._key(f1, f2), -index, f1, f2)
+                               for f2, (f1, index) in summary.frontier.items())
     return ExtremalResult(
         n=n, spec=spec, weight=a, mode=mode,
-        best=WeightedValue(best_pair[0], best_pair[1], a),
-        witness=oracle.graph_from_index(n, mode, best_idx),
+        best=WeightedValue(f1, f2, a),
+        witness=oracle.graph_from_index(n, mode, -neg_index),
         explored=summary.total,
     )
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -249,11 +251,24 @@ def test_corrupt_cache_entry_is_ignored_with_warning(tmp_path, capsys):
             "--cache-dir", str(cache))
     _, first, _ = invoke(capsys, *args)
     entry = cache / os.listdir(cache)[0]
-    entry.write_text("not json at all")
-    code, out, err = invoke(capsys, *args)
-    assert code == 0
-    assert json.loads(out)["result"] == json.loads(first)["result"]
-    assert "warning" in err
+    key = entry.name[:-len(".json")]
+    stored = json.loads(entry.read_text())["record"]
+    other = json.loads(invoke(capsys, "gen", "dtr", "--n", "4", "--r", "2",
+                              "--format", "json")[1])
+    # text that is not JSON, then JSON of the wrong shape: not a dict, a
+    # record missing fields, a record that is not a dict, another key, and
+    # a well-formed record of another query
+    for payload in ("not json at all", "[]",
+                    json.dumps({"key": key, "created_at": "", "record": {"command": "gen"}}),
+                    json.dumps({"key": key, "created_at": "", "record": []}),
+                    json.dumps({"key": "0" * 64, "created_at": "", "record": stored}),
+                    json.dumps({"key": key, "created_at": "", "record": other})):
+        entry.write_text(payload)
+        code, out, err = invoke(capsys, *args)
+        assert code == 0, payload
+        assert json.loads(out)["result"] == json.loads(first)["result"], payload
+        assert "warning" in err, payload
+        assert entry.read_text() == payload  # entries are write-once
 
 
 def test_unusable_cache_dir_warns_but_succeeds(tmp_path, capsys):
@@ -264,6 +279,36 @@ def test_unusable_cache_dir_warns_but_succeeds(tmp_path, capsys):
     assert code == 0
     assert out == "TDG 3 033\n"
     assert "warning" in err
+    assert os.listdir(tmp_path) == ["blocker"] and blocker.read_text() == "x"
+
+
+def test_store_leaves_no_temp_file(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    record = {"command": "gen", "params": {}, "result": {}, "version": __version__,
+              "runtime_ms": 0.0}
+    cli.cache_store("k", record, str(cache))
+    assert os.listdir(cache) == ["k.json"]
+    written = (cache / "k.json").read_bytes()
+    # a second store of the key changes nothing, not even the time stamp
+    cli.cache_store("k", {**record, "runtime_ms": 1.0}, str(cache))
+    assert os.listdir(cache) == ["k.json"]
+    assert (cache / "k.json").read_bytes() == written
+    assert capsys.readouterr().err == ""
+
+
+def test_failing_store_warns_and_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+
+    def refuse(src, dst):
+        raise PermissionError(f"cannot rename {src}")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    code, out, err = invoke(capsys, "gen", "dtr", "--n", "3", "--r", "2",
+                            "--cache-dir", str(cache))
+    assert code == 0 and out == "TDG 3 033\n"
+    assert "warning" in err
+    assert os.listdir(cache) == []
 
 
 def test_check_cache_keys_by_graph_content_not_path(tmp_path, capsys):
@@ -315,3 +360,33 @@ def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypa
     code, out, err = invoke(capsys, *query)
     assert code == 0 and err == ""
     assert out == fresh
+
+
+# ----------------------------------------------------------------------
+# the documentation names every subcommand of the table
+# ----------------------------------------------------------------------
+
+def test_docs_name_every_subcommand_and_readme_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    documented = set()
+    for line in block.splitlines():
+        if not line.startswith("ttlab "):
+            continue
+        words = shlex.split(line, comments=True)[1:]
+        if ">" in words:  # "... > h.tdg" redirects the output
+            words = words[:words.index(">")]
+        argv = [w.strip("[]") for w in words]
+        args = cli._build_parser().parse_args(argv)
+        if "graph" in vars(args):
+            assert args.graph == "h.tdg", line
+        dest = cli._GROUPS.get(args.command, (None,))[0]
+        documented.add((args.command, getattr(args, dest) if dest else None))
+    assert documented == set(cli._COMMANDS)
+
+    listed = cli.__doc__.split("Subcommands\n-----------\n", 1)[1].split("\n\n", 1)[0]
+    named = set()
+    for line in listed.splitlines():
+        words = line.split()
+        named.add((words[0], words[1] if words[0] in cli._GROUPS else None))
+    assert named == set(cli._COMMANDS)

@@ -232,6 +232,11 @@ def test_naive_reports_lexicographically_first_optimum():
     # the top frontier cell
     assert res.best.pair == (0, 3)
     assert res.witness == make_dtr(3, 3)
+    # here (8, 2) and (0, 6) tie at a = 2; the reported pair is the one of
+    # the smallest-index optimum, which is the witness's own
+    res = extremal_naive(5, BlowupSpec(2, 2), Weight.rational(2))
+    assert encode(res.witness) == "TDG 5 0033303033"
+    assert res.best.pair == (res.witness.f1, res.witness.f2) == (0, 6)
 
 
 # ----------------------------------------------------------------------
