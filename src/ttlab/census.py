@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import oracle
 from .core import (
@@ -91,44 +92,28 @@ def count_free_naive(n: int, spec: BlowupSpec, mode: str = DIGRAPH) -> int:
 # ======================================================================
 
 def _admits(out_masks, n: int, r: int, t: int) -> bool:
-    full = (1 << n) - 1
-    chain_memo: dict = {}
-    good_memo: dict[int, bool] = {0: True}
-
+    @cache
     def good(mask: int) -> bool:
-        v = good_memo.get(mask)
-        if v is None:
-            v = not chain_exists(out_masks, mask, 2, t, chain_memo)
-            good_memo[mask] = v
-        return v
+        return not chain_exists(out_masks, mask, 2, t)
 
-    cover_memo: dict[tuple[int, int], bool] = {}
-
+    @cache
     def cover(mask: int, classes_left: int) -> bool:
         if mask == 0:
             return True
-        if classes_left == 0:
-            return False
-        key = (mask, classes_left)
-        hit = cover_memo.get(key)
-        if hit is not None:
-            return hit
+        if classes_left == 1:  # the one class left must take all of mask
+            return good(mask)
         low = mask & -mask
         rest = mask ^ low
-        result = False
         sub = rest
         while True:
             cls = sub | low
             if good(cls) and cover(mask ^ cls, classes_left - 1):
-                result = True
-                break
+                return True
             if sub == 0:
-                break
+                return False
             sub = (sub - 1) & rest
-        cover_memo[key] = result
-        return result
 
-    return cover(full, r)
+    return cover((1 << n) - 1, r)
 
 
 def admits_partition(g: Digraph, r: int, t: int) -> bool:

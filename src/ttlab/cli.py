@@ -46,13 +46,15 @@ package's own .py files, so a cache written by other code is never
 replayed; graph files enter the key by content (their TDG string), not
 by path.  Entries are write-once JSON files <key>.json, never modified.
 A store writes <key>.json.<pid>.<thread id>.tmp, a name unique per live
-writer that the cache never reads, and renames it into place.  A hit
-replays the stored record byte for byte (including the original
-runtime_ms), but only if the payload is a dict stored under the key
-asked for and its record has the five record fields and a command and
-params that hash to that key; any other entry warns on stderr and the
-result is computed afresh.  The record itself does not carry the source
-hash.  An unwritable cache directory is a warning, never a failure.
+writer that the cache never reads, and renames it into place.  Beside
+the record, an entry holds a seal: the SHA-256 of the key and the
+record's canonical serialisation.  A hit replays the stored record byte
+for byte (including the original runtime_ms), but only if the seal
+matches the key asked for and the record read back; an entry edited in
+any way (another query's record, a missing field, a changed result)
+warns on stderr and the result is computed afresh.  The record itself
+does not carry the source hash.  An unwritable cache directory is a
+warning, never a failure.
 """
 
 from __future__ import annotations
@@ -94,9 +96,6 @@ ENV_CACHE_DIR = "TTLAB_CACHE_DIR"
 # cache
 # ======================================================================
 
-_RECORD_FIELDS = {"command", "params", "result", "version", "runtime_ms"}
-
-
 @cache
 def source_digest() -> str:
     """SHA-256 over the names and contents of the package's .py files,
@@ -119,11 +118,16 @@ def cache_key(command: str, params: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _seal(key: str, record) -> str:
+    """SHA-256 of the key and the record's canonical serialisation."""
+    canon = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256((key + "\0" + canon).encode()).hexdigest()
+
+
 def cache_lookup(key: str, cache_dir: str) -> dict | None:
     """The record stored under key, or None.  A payload replays only if it
-    is a dict stored under this key whose record has the five record
-    fields and whose own command and params hash to this key; anything
-    else warns and reads as a miss.  The file stays: entries are write-once."""
+    is a dict whose seal matches this key and its record; anything else
+    warns and reads as a miss.  The file stays: entries are write-once."""
     path = os.path.join(cache_dir, key + ".json")
     try:
         with open(path, encoding="utf-8") as fh:
@@ -133,12 +137,9 @@ def cache_lookup(key: str, cache_dir: str) -> dict | None:
     except (OSError, ValueError) as exc:
         reason = exc
     else:
-        record = payload.get("record") if isinstance(payload, dict) else None
-        if (isinstance(record, dict) and payload.get("key") == key
-                and record.keys() == _RECORD_FIELDS
-                and cache_key(record["command"], record["params"]) == key):
-            return record
-        reason = "not a record of this query"
+        if isinstance(payload, dict) and payload.get("seal") == _seal(key, payload.get("record")):
+            return payload["record"]
+        reason = "seal does not match this query's record"
     print(f"warning: ignoring unreadable cache entry {path}: {reason}", file=sys.stderr)
     return None
 
@@ -154,7 +155,7 @@ def cache_store(key: str, record: dict, cache_dir: str) -> None:
         if os.path.exists(path):
             return
         payload = {"key": key, "created_at": datetime.now(timezone.utc).isoformat(),
-                   "record": record}
+                   "record": record, "seal": _seal(key, record)}
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(payload, sort_keys=True))
         os.replace(tmp, path)

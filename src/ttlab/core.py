@@ -78,10 +78,14 @@ def _pair_index(n: int) -> dict[tuple[int, int], int]:
 
 
 def pair_index(n: int, i: int, j: int) -> int:
-    """Index of the unordered pair {i, j} in the canonical order."""
+    """Index of the unordered pair {i, j} in the canonical order;
+    ValueError unless i and j are distinct vertices of 0..n-1."""
     if i > j:
         i, j = j, i
-    return _pair_index(n)[(i, j)]
+    index = _pair_index(n).get((i, j))
+    if index is None:
+        raise ValueError(f"need two distinct vertices in 0..{n - 1}, got ({i}, {j})")
+    return index
 
 
 # ======================================================================
@@ -156,8 +160,6 @@ class Digraph:
 
     def pair_state(self, i: int, j: int) -> int:
         """State of pair {i, j}; swapping i and j swaps FWD and BWD."""
-        if i == j:
-            raise ValueError("pair needs two distinct vertices")
         if i < j:
             return self.states[pair_index(self.n, i, j)]
         s = self.states[pair_index(self.n, j, i)]

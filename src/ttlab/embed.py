@@ -19,9 +19,11 @@ sends an arc to itself, so S_j is disjoint from every earlier set).  One
 walk, `_chain`, answers both questions asked of it: "is there a chain?"
 (`chain_exists`) and "is there one placing u on an earlier level than
 v?" (`arc_completes_blowup`), where u and v are pending vertices that
-each level either hosts in turn or avoids.  Memoising on (allowed,
-levels remaining, phase), the phase being how many pending vertices are
-still to place, keeps the walk small.
+each level either hosts in turn or avoids.  The walk stops at its last
+level: once `allowed` holds t vertices (one of them the pending vertex
+still to place, if any), that level is found.  Each call owns its memo,
+keyed by (allowed, levels remaining, phase), the phase being how many
+pending vertices are still to place; no memo is shared between calls.
 """
 
 from __future__ import annotations
@@ -137,14 +139,14 @@ def count_copies(g: Digraph, h: Digraph) -> int:
 # blow-up freeness via the level-chain search
 # ======================================================================
 
-def chain_exists(out_masks, allowed: int, levels: int, t: int, memo=None) -> bool:
+def chain_exists(out_masks, allowed: int, levels: int, t: int) -> bool:
     """Is there a chain of `levels` disjoint t-sets inside `allowed`?
 
-    out_masks is indexable by vertex; `allowed` is a vertex bitmask.  A
-    fresh memo dict is used unless one is passed in (callers testing many
-    masks of the same digraph share one).
+    out_masks is indexable by vertex; `allowed` is a vertex bitmask.  The
+    walk stops at its last level, where a count decides, and each call
+    uses a fresh memo.
     """
-    return _chain(out_masks, allowed, levels, t, {} if memo is None else memo, ())
+    return _chain(out_masks, allowed, levels, t, {}, ())
 
 
 def _chain(out_masks, allowed: int, levels: int, t: int, memo: dict, pending: tuple) -> bool:
@@ -153,20 +155,21 @@ def _chain(out_masks, allowed: int, levels: int, t: int, memo: dict, pending: tu
     on a strictly later level than the one before?
 
     A level either hosts pending[0] (its out-mask plus t - 1 others) or
-    avoids every pending vertex (t others).  The phase is len(pending),
-    the vertices still to place, and the memo maps (allowed, levels,
-    phase) to the answer; so calls may share a memo only if they share
-    out_masks, t and the pending tuple they start from.  It is a
-    module-level function, not a closure: making a closure per call took
-    longer than a call answered from the memo.
+    avoids every pending vertex (t others).  The last level (and an empty
+    chain) needs no choice: once the count and pending tests pass,
+    `allowed` holds a t-set, with the one vertex still pending if there
+    is one.  The phase is len(pending), the vertices still to place, and
+    memo, owned by one top-level call, maps (allowed, levels, phase) to
+    the answer.  It is a module-level function, not a closure: making a
+    closure per call took longer than a call answered from the memo.
     """
-    if levels == 0:
-        return not pending
     need = 0
     for w in pending:
         need |= 1 << w
     if allowed.bit_count() < levels * t or levels < len(pending) or allowed & need != need:
         return False
+    if levels <= 1:
+        return True
     key = (allowed, levels, len(pending))
     hit = memo.get(key)
     if hit is not None:
@@ -199,8 +202,6 @@ def _chain(out_masks, allowed: int, levels: int, t: int, memo: dict, pending: tu
 
 def is_free(g: Digraph, spec: BlowupSpec) -> bool:
     """True iff G contains no copy of blowup(spec.k, spec.t)."""
-    if spec.vertex_count > g.n:
-        return True
     return not chain_exists(g.out_masks, (1 << g.n) - 1, spec.k, spec.t)
 
 
@@ -309,8 +310,4 @@ def partition_ok(g: Digraph, p: Partition, t: int) -> bool:
     if p.n != g.n:
         raise ValueError(f"partition covers {p.n} vertices, digraph has {g.n}")
     spec = BlowupSpec(2, t)  # validates t >= 1
-    memo: dict = {}
-    for mask in p.class_masks():
-        if chain_exists(g.out_masks, mask, spec.k, spec.t, memo):
-            return False
-    return True
+    return not any(chain_exists(g.out_masks, mask, spec.k, spec.t) for mask in p.class_masks())

@@ -33,6 +33,7 @@ that the sweep refuses rather than grind.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from math import comb
 
@@ -82,9 +83,13 @@ def iter_digraphs(n: int, mode: str = DIGRAPH):
 
 
 def graph_from_index(n: int, mode: str, index: int) -> Digraph:
+    """The digraph numbered `index` in the given mode (module docstring);
+    ValueError unless 0 <= index < radix**C(n,2)."""
     require_mode(mode)
     radix = _RADIX[mode]
     npairs = comb(n, 2)
+    if not 0 <= index < radix ** npairs:
+        raise ValueError(f"need 0 <= index < {radix}^{npairs} in {mode} mode, got {index}")
     digits = []
     for p in range(npairs):
         digits.append(index // radix ** (npairs - 1 - p) % radix)
@@ -204,22 +209,20 @@ def _sweep_block(n, k, t, hi, lo, h0, h1):
     return int(free.sum()), cells
 
 
-_SWEEPS: dict[tuple, SweepSummary] = {}
+# About how many graphs each block holds, rounded down to whole high-table
+# rows (see the module docstring), at least one.  It was the fastest size
+# measured: the seven `oracle_sweep` benchmark jobs took 0.64-0.75 s in all
+# at 2^15 graphs a block, 0.71-0.81 s at 2^17, 1.1-1.2 s at 2^19 and
+# 1.5-1.7 s at 2^13 (three fresh-process runs each on a 2-core Xeon VM).
+_BLOCK = 1 << 15
 
 
-def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1,
-          chunk: int = 1 << 15) -> SweepSummary:
+def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1) -> SweepSummary:
     """Full enumeration of all graphs on n vertices in the given mode,
     evaluated against one forbidden blow-up.  Summaries are memoised, so
     repeated queries (e.g. the same instance under three weights) cost
-    one sweep.
-
-    chunk is about how many graphs each block holds: it is rounded down
-    to whole high-table rows (see the module docstring), at least one.
-    The default was the fastest size measured: the seven `oracle_sweep`
-    benchmark jobs took 0.64-0.75 s in all at 2^15 graphs a block,
-    0.71-0.81 s at 2^17, 1.1-1.2 s at 2^19 and 1.5-1.7 s at 2^13 (three
-    fresh-process runs each on a 2-core Xeon VM).
+    one sweep.  A summary is seven fields and at most C(n,2) + 1 frontier
+    cells, and n is capped by SWEEP_BOUND, so the memo is left unbounded.
 
     Blocks run one after another, in index order: a thread pool over
     blocks was slower on every sweep measured (oriented n = 6 T_2^2
@@ -235,28 +238,24 @@ def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1,
         raise CapacityError(
             f"naive enumeration is capped at n = {SWEEP_BOUND[mode]} in {mode} mode (got n = {n})"
         )
-    key = (n, mode, spec.k, spec.t)
-    hit = _SWEEPS.get(key)
-    if hit is not None:
-        return hit
+    return _summarise(n, mode, spec.k, spec.t)
 
+
+@cache
+def _summarise(n: int, mode: str, k: int, t: int) -> SweepSummary:
+    """The sweep itself, one summary per (n, mode, k, t), for valid input."""
     hi, lo = _decode_tables(n, mode)
     hi_rows = hi[1].shape[0]
-    per = max(1, chunk // lo[1].shape[0])
+    per = max(1, _BLOCK // lo[1].shape[0])
     free_count = 0
     frontier: dict[int, tuple[int, int]] = {}
     for h0 in range(0, hi_rows, per):
-        cnt, cells = _sweep_block(n, spec.k, spec.t, hi, lo, h0, min(h0 + per, hi_rows))
+        cnt, cells = _sweep_block(n, k, t, hi, lo, h0, min(h0 + per, hi_rows))
         free_count += cnt
         # blocks come in index order, so an equal f1 keeps the earlier cell
         for f2v, cell in cells.items():
             cur = frontier.get(f2v)
             if cur is None or cell[0] > cur[0]:
                 frontier[f2v] = cell
-
-    summary = SweepSummary(
-        n=n, mode=mode, k=spec.k, t=spec.t,
-        total=_RADIX[mode] ** comb(n, 2), free_count=free_count, frontier=frontier,
-    )
-    _SWEEPS[key] = summary
-    return summary
+    return SweepSummary(n=n, mode=mode, k=k, t=t, total=_RADIX[mode] ** comb(n, 2),
+                        free_count=free_count, frontier=frontier)

@@ -247,28 +247,42 @@ def test_cache_env_var_is_honoured(tmp_path, capsys, monkeypatch):
 
 def test_corrupt_cache_entry_is_ignored_with_warning(tmp_path, capsys):
     cache = tmp_path / "cache"
-    args = ("gen", "dtr", "--n", "3", "--r", "2", "--format", "json",
-            "--cache-dir", str(cache))
-    _, first, _ = invoke(capsys, *args)
+    query = ("gen", "dtr", "--n", "3", "--r", "2")
+    invoke(capsys, *query, "--cache-dir", str(cache))
     entry = cache / os.listdir(cache)[0]
     key = entry.name[:-len(".json")]
-    stored = json.loads(entry.read_text())["record"]
+    sealed = json.loads(entry.read_text())
+    stored = sealed["record"]
     other = json.loads(invoke(capsys, "gen", "dtr", "--n", "4", "--r", "2",
                               "--format", "json")[1])
+    fresh = {fmt: invoke(capsys, *query, "--format", fmt)[1] for fmt in ("text", "json", "csv")}
     # text that is not JSON, then JSON of the wrong shape: not a dict, a
-    # record missing fields, a record that is not a dict, another key, and
-    # a well-formed record of another query
-    for payload in ("not json at all", "[]",
-                    json.dumps({"key": key, "created_at": "", "record": {"command": "gen"}}),
-                    json.dumps({"key": key, "created_at": "", "record": []}),
-                    json.dumps({"key": "0" * 64, "created_at": "", "record": stored}),
-                    json.dumps({"key": key, "created_at": "", "record": other})):
+    # record missing fields, a record that is not a dict, another key, a
+    # well-formed record of another query, and this entry's own record
+    # with its result edited (emptied, or another graph) under its seal
+    payloads = ["not json at all", "[]",
+                json.dumps({"key": key, "created_at": "", "record": {"command": "gen"}}),
+                json.dumps({"key": key, "created_at": "", "record": []}),
+                json.dumps({"key": "0" * 64, "created_at": "", "record": stored}),
+                json.dumps({"key": key, "created_at": "", "record": other}),
+                json.dumps({**sealed, "record": {**stored, "result": {}}}),
+                json.dumps({**sealed, "record": {
+                    **stored, "result": {**stored["result"], "encoding": "TDG 3 000"}}})]
+    for payload in payloads:
         entry.write_text(payload)
-        code, out, err = invoke(capsys, *args)
-        assert code == 0, payload
-        assert json.loads(out)["result"] == json.loads(first)["result"], payload
-        assert "warning" in err, payload
-        assert entry.read_text() == payload  # entries are write-once
+        for fmt, want in fresh.items():
+            code, out, err = invoke(capsys, *query, "--format", fmt, "--cache-dir", str(cache))
+            assert code == 0, (payload, fmt)
+            if fmt == "json":  # runtime_ms is measured afresh
+                assert json.loads(out)["result"] == json.loads(want)["result"], payload
+            else:
+                assert out == want, (payload, fmt)
+            assert "warning" in err, (payload, fmt)
+            assert entry.read_text() == payload  # entries are write-once
+    # the untouched entry still replays, silently
+    entry.write_text(json.dumps(sealed))
+    code, out, err = invoke(capsys, *query, "--format", "json", "--cache-dir", str(cache))
+    assert (code, json.loads(out), err) == (0, stored, "")
 
 
 def test_unusable_cache_dir_warns_but_succeeds(tmp_path, capsys):

@@ -54,6 +54,15 @@ def test_pair_index_matches_pair_list():
             assert pair_index(n, j, i) == idx
 
 
+def test_pair_index_refuses_equal_or_out_of_range_vertices():
+    g = Digraph.empty(4)
+    for i, j in ((0, 9), (9, 0), (2, 2), (-1, 2), (0, 4)):
+        with pytest.raises(ValueError):
+            pair_index(4, i, j)
+        with pytest.raises(ValueError):
+            g.pair_state(i, j)
+
+
 def test_from_arcs_and_queries():
     g = Digraph.from_arcs(4, [(0, 1), (2, 1), (3, 0), (0, 3)])
     assert g.has_arc(0, 1) and not g.has_arc(1, 0)

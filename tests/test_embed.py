@@ -27,7 +27,7 @@ from ttlab import (
     is_free,
     partition_ok,
 )
-from ttlab.embed import _chain, arc_completes_blowup
+from ttlab.embed import _chain, arc_completes_blowup, chain_exists
 
 from test_core import random_digraph
 
@@ -176,6 +176,53 @@ def test_is_free_sampled_n6():
 
 def test_is_free_trivial_when_pattern_too_large():
     assert is_free(make_dtr(4, 2), BlowupSpec(3, 2))  # 6 > 4 vertices
+
+
+def test_is_free_when_pattern_outgrows_host_or_has_one_level():
+    # k * t > n is answered by the walk's first count test, and k = 1 (t
+    # isolated vertices) by its last-level rule
+    rng = random.Random(5)
+    specs = [BlowupSpec(1, 1), BlowupSpec(1, 2), BlowupSpec(1, 4), BlowupSpec(2, 3),
+             BlowupSpec(3, 2), BlowupSpec(5, 1)]
+    for n in range(5):
+        for _ in range(8):
+            g = random_digraph(rng, n)
+            for spec in specs:
+                assert is_free(g, spec) == brute_free(g, spec), (g, spec)
+
+
+def brute_chain(g: Digraph, allowed: int, levels: int, t: int) -> bool:
+    """Any chain of `levels` disjoint t-sets inside allowed, each sending
+    arcs to every later one, by enumeration."""
+    sets = list(combinations([w for w in range(g.n) if allowed >> w & 1], t))
+    for chain in permutations(sets, levels):
+        if (len({w for s in chain for w in s}) == levels * t
+                and all(g.has_arc(x, y) for i, s in enumerate(chain) for x in s
+                        for later in chain[i + 1:] for y in later)):
+            return True
+    return False
+
+
+def test_chain_exists_against_enumeration_at_every_mask():
+    # levels 0 and 1 need no choice (an empty chain always exists, one
+    # level needs t vertices); masks with fewer than levels * t vertices
+    # must fail however dense the digraph
+    rng = random.Random(23)
+    short = 0
+    for n in range(6):
+        for density in (0.3, 0.8, 1.0):
+            states = tuple(rng.choice((1, 2, 3)) if rng.random() < density else 0
+                           for _ in range(n * (n - 1) // 2))
+            g = Digraph(n, states)
+            for allowed in range(1 << n):
+                for levels in range(4):
+                    for t in range(1, 4):
+                        got = chain_exists(g.out_masks, allowed, levels, t)
+                        assert got == brute_chain(g, allowed, levels, t), (g, allowed, levels, t)
+                        if levels <= 1:
+                            assert got == (allowed.bit_count() >= levels * t)
+                        short += allowed.bit_count() < levels * t
+    assert short > 1000
 
 
 # ----------------------------------------------------------------------

@@ -36,9 +36,26 @@ def test_graph_from_index_matches_iteration_order():
         assert idx == total - 1
 
 
+def test_graph_from_index_refuses_indices_outside_the_mode():
+    for mode, total in ((DIGRAPH, 4 ** 3), (ORIENTED, 3 ** 3)):
+        for index in (-1, total, total + 1):
+            with pytest.raises(ValueError):
+                graph_from_index(3, mode, index)
+    assert graph_from_index(0, DIGRAPH, 0) == Digraph(0, ())
+    with pytest.raises(ValueError):
+        graph_from_index(0, DIGRAPH, 1)
+
+
+def fresh_summary(monkeypatch, n, spec, mode, block):
+    """A sweep computed afresh, past the memo, over blocks of about
+    `block` graphs."""
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    return oracle._summarise.__wrapped__(n, mode, spec.k, spec.t)
+
+
 @pytest.mark.parametrize("mode", [DIGRAPH, ORIENTED])
 @pytest.mark.parametrize("spec", SPECS, ids=str)
-def test_sweep_frontier_matches_per_graph_recount(mode, spec):
+def test_sweep_frontier_matches_per_graph_recount(monkeypatch, mode, spec):
     n = 4
     free = 0
     frontier: dict[int, tuple[int, int]] = {}
@@ -51,9 +68,8 @@ def test_sweep_frontier_matches_per_graph_recount(mode, spec):
             frontier[g.f2] = (g.f1, idx)
     summaries = [sweep(n, spec, mode)]
     # blocks of one high-table row (27 or 64 graphs) up to the whole sweep
-    for chunk in (1, 7, 64, 100, 4096):
-        oracle._SWEEPS.pop((n, mode, spec.k, spec.t))
-        summaries.append(sweep(n, spec, mode, chunk=chunk))
+    for block in (1, 7, 64, 100, 4096):
+        summaries.append(fresh_summary(monkeypatch, n, spec, mode, block))
     for summary in summaries:
         assert summary.free_count == free
         assert summary.frontier == frontier
@@ -133,15 +149,13 @@ def test_digraph_n5_frontier_cells_decode_to_free_graphs(spec):
 
 def test_sweep_is_memoised():
     base = sweep(4, BlowupSpec(3, 1), DIGRAPH)
-    again = sweep(4, BlowupSpec(3, 1), DIGRAPH, chunk=64)
+    again = sweep(4, BlowupSpec(3, 1), DIGRAPH)
     assert again is base  # cached summary object
 
 
-def test_sweep_block_size_is_immaterial_on_fresh_computation():
+def test_sweep_block_size_is_immaterial_on_fresh_computation(monkeypatch):
     one = sweep(5, BlowupSpec(4, 1), DIGRAPH)
-    # drop the memo so the run over smaller blocks actually recomputes
-    oracle._SWEEPS.pop((5, DIGRAPH, 4, 1))
-    many = sweep(5, BlowupSpec(4, 1), DIGRAPH, chunk=1 << 12)
+    many = fresh_summary(monkeypatch, 5, BlowupSpec(4, 1), DIGRAPH, 1 << 12)
     assert many is not one
     assert many == one
 
