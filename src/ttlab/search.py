@@ -11,7 +11,8 @@ uses:
   listed in PAIR_CHOICES;
 * freeness is maintained incrementally: a newly decided arc u -> v is
   legal iff no copy of the blow-up places u strictly before v, which
-  `embed.arc_completes_blowup` decides on the decided arcs only;
+  `embed.arc_completes_blowup` decides on the decided arcs only, from
+  the out- and in-masks the walk keeps;
 * extremal adds a bound: a node is pruned when even granting every
   undecided pair the maximum state weight cannot beat the incumbent
   (compared exactly on the integer keys of `Weight`, tabulated once per
@@ -109,6 +110,11 @@ def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
     (leaves, explored), where explored counts the root and every child
     entered.
 
+    The walk keeps the in-masks `inn` beside the out-masks `out`, and the
+    arc check reads both.  A child of pair (i, j) sets the bits of its
+    arcs in out[i], out[j], inn[i] and inn[j] only, and restores those
+    four entries when it returns, so no check rebuilds an in-mask.
+
     Given keys (keys[f1][f2] = `Weight._key`, for f1 + f2 <= C(n, 2)), the
     walk is the `extremal` branch and bound.  best is the incumbent cell
     [key, out-masks or None], and sub = (f1, f2) of ex_a(n - 1).
@@ -127,6 +133,7 @@ def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
     # per state: its arcs and how far it falls short of the granted one
     steps = [(fwd, bwd, d1 - g1, d2 - g2) for fwd, bwd, d1, d2 in PAIR_CHOICES[mode]]
     out = [0] * n
+    inn = [0] * n  # in-masks of the same digraph, for the arc check
     # granted (f1, f2) degree of each vertex, plus sub: the degree floor
     # compares keys[deg1[v]][deg2[v]] with the incumbent, and sub on this
     # side keeps every index within f1 + f2 <= C(n, 2)
@@ -144,7 +151,7 @@ def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
                 best[:] = keys[f1][f2], out.copy()
             return
         i, j = pairs[d]
-        oi, oj = out[i], out[j]
+        oi, oj, ii, ij = out[i], out[j], inn[i], inn[j]
         if keys is not None:
             ai, bi, aj, bj = deg1[i], deg2[i], deg1[j], deg2[j]
         for fwd, bwd, e1, e2 in steps:
@@ -157,10 +164,12 @@ def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
                     break
             if fwd:
                 out[i] = oi | 1 << j
+                inn[j] = ij | 1 << i
             if bwd:
                 out[j] = oj | 1 << i
-            if not (fwd and arc_completes_blowup(out, n, k, t, i, j)
-                    or bwd and arc_completes_blowup(out, n, k, t, j, i)):
+                inn[i] = ii | 1 << j
+            if not (fwd and arc_completes_blowup(out, inn, n, k, t, i, j)
+                    or bwd and arc_completes_blowup(out, inn, n, k, t, j, i)):
                 explored += 1
                 if keys is not None:
                     deg1[i] = ai + e1
@@ -170,6 +179,8 @@ def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
                 down(d + 1, nf1, nf2)
             out[i] = oi
             out[j] = oj
+            inn[i] = ii
+            inn[j] = ij
         if keys is not None:
             deg1[i], deg2[i], deg1[j], deg2[j] = ai, bi, aj, bj
 
@@ -185,11 +196,12 @@ def extremal(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> Extrem
     ex_a(m - 1) from the one before it: it ends at the root when the
     incumbent meets the averaging cap m/(m - 2) * ex_a(m - 1), and the
     walk applies the degree floor.  `explored` counts every node of the
-    whole chain.  Measured on a 2-core Xeon VM at a = 2, digraph mode:
-    T_3^1 takes about 0.01 s at n = 6 (459 nodes), 0.7 s at n = 7
-    (128,409 nodes) and 0.8 s at n = 8, which ends at the root; T_4^1
-    at n = 8 takes about 6 s (913,671 nodes) and T_2^2 at n = 6 about
-    2.5 s (467,823 nodes).  The hard capacity bound is 16 vertices.
+    whole chain.  Measured on a 2-core Xeon VM at a = 2, digraph mode
+    (medians of three runs): T_3^1 takes about 0.002 s at n = 6 (459
+    nodes), 0.4 s at n = 7 (128,409 nodes) and 0.45 s at n = 8, which
+    ends at the root; T_4^1 at n = 8 takes about 4.6 s (913,671 nodes),
+    T_2^2 at n = 6 about 2.5 s (467,823 nodes) and T_3^2 at n = 7 about
+    2.2 s (202,641 nodes).  The hard capacity bound is 16 vertices.
     Forbidding blowup(1, t) is refused: every digraph on >= t vertices
     contains it, so no maximum exists.
     """

@@ -376,6 +376,18 @@ def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypa
     assert out == fresh
 
 
+def test_python_dash_m_runs_the_command_line(capsys, monkeypatch):
+    monkeypatch.delenv("TTLAB_CACHE_DIR", raising=False)
+    argv = ["gen", "dtr", "--n", "3", "--r", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ttlab", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert cli.main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out == "TDG 3 033\n"
+
+
 # ----------------------------------------------------------------------
 # the documentation names every subcommand of the table
 # ----------------------------------------------------------------------

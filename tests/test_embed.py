@@ -27,7 +27,7 @@ from ttlab import (
     is_free,
     partition_ok,
 )
-from ttlab.embed import _chain, arc_completes_blowup, chain_exists
+from ttlab.embed import _chain, _in_masks, arc_completes_blowup, chain_exists
 
 from test_core import random_digraph
 
@@ -262,7 +262,7 @@ def test_arc_completes_blowup_against_enumeration():
         if not g.has_arc(u, v):
             g = add_arc(g, u, v)
         k, t = rng.choice([(2, 1), (3, 1), (2, 2), (4, 1), (3, 2)])
-        got = arc_completes_blowup(g.out_masks, n, k, t, u, v)
+        got = arc_completes_blowup(g.out_masks, _in_masks(g), n, k, t, u, v)
         assert got == brute_completes(g, k, t, u, v)
         cases += 1
     # t = 1 takes the region test: sparser hosts up to 7 vertices, both
@@ -278,32 +278,15 @@ def test_arc_completes_blowup_against_enumeration():
         if rng.random() < 0.9 and not g.has_arc(u, v):
             g = add_arc(g, u, v)
         k = rng.randint(2, 5)
-        got = arc_completes_blowup(g.out_masks, n, k, 1, u, v)
+        got = arc_completes_blowup(g.out_masks, _in_masks(g), n, k, 1, u, v)
         assert got == brute_completes(g, k, 1, u, v), (g, k, u, v)
         seen.add((k, got))
     assert seen == {(k, b) for k in range(2, 6) for b in (False, True)}
-    # k = 3, t = 2 returns before any walk while n < 6: the level-chain
-    # walk with u and v pending, on 6 and 7 vertices, both answers.  Dense
-    # hosts are where a walk that hosts a vertex outside `allowed` errs
-    rng = random.Random(29)
-    seen = set()
-    for _ in range(200):
-        n = rng.randint(6, 7)
-        density = rng.choice((0.6, 0.8, 0.9, 0.95))
-        g = Digraph(n, tuple(rng.choice((1, 2, 3)) if rng.random() < density else 0
-                             for _ in range(n * (n - 1) // 2)))
-        u, v = rng.sample(range(n), 2)
-        if rng.random() < 0.9 and not g.has_arc(u, v):
-            g = add_arc(g, u, v)
-        got = arc_completes_blowup(g.out_masks, n, 3, 2, u, v)
-        assert got == brute_completes(g, 3, 2, u, v), (g, u, v)
-        seen.add((n, got))
-    assert seen == {(n, b) for n in (6, 7) for b in (False, True)}
     # 3 sits both before u = 0 and after v = 1; reached after 2 (after v)
     # it must stay after v, so 4 (before u) cannot follow it
     g = Digraph.from_arcs(6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 0), (1, 3), (3, 1),
                               (2, 3), (4, 0), (4, 1), (2, 4), (3, 4), (0, 5), (1, 5), (2, 5)])
-    assert not arc_completes_blowup(g.out_masks, 6, 5, 1, 0, 1)
+    assert not arc_completes_blowup(g.out_masks, _in_masks(g), 6, 5, 1, 0, 1)
     assert not brute_completes(g, 5, 1, 0, 1)
 
 
@@ -321,11 +304,62 @@ def test_arc_completes_blowup_k2_shortcut_against_enumeration():
         u, v = rng.sample(range(n), 2)
         if rng.random() < 0.9 and not g.has_arc(u, v):
             g = add_arc(g, u, v)
-        got = arc_completes_blowup(g.out_masks, n, 2, t, u, v)
+        got = arc_completes_blowup(g.out_masks, _in_masks(g), n, 2, t, u, v)
         assert got == brute_completes(g, 2, t, u, v), (g, t, u, v)
         assert got == _chain(g.out_masks, (1 << n) - 1, 2, t, {}, (u, v))
         seen.add((t, got))
     assert seen == {(t, b) for t in (2, 3) for b in (False, True)}
+
+
+def dense_host(rng: random.Random, n: int, u: int, v: int) -> Digraph:
+    """A random digraph of density 0.6 to 0.95, given the arc u -> v nine
+    times in ten: dense hosts hold both answers once k * t <= n."""
+    density = rng.choice((0.6, 0.8, 0.9, 0.95))
+    g = Digraph(n, tuple(rng.choice((1, 2, 3)) if rng.random() < density else 0
+                         for _ in range(n * (n - 1) // 2)))
+    if rng.random() < 0.9 and not g.has_arc(u, v):
+        g = add_arc(g, u, v)
+    return g
+
+
+def test_arc_completes_blowup_root_cut_for_k3_and_more():
+    # k >= 3 with t >= 2 starts the pending walk from in[v] | out[u], not
+    # from every vertex; check it against enumeration and against the
+    # walk from the full vertex mask.  k = 3, t = 2 returns before any
+    # walk while n < 6, so n = 6 and 7 are where both answers occur
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(6, 7)
+        u, v = rng.sample(range(n), 2)
+        g = dense_host(rng, n, u, v)
+        got = arc_completes_blowup(g.out_masks, _in_masks(g), n, 3, 2, u, v)
+        assert got == brute_completes(g, 3, 2, u, v), (g, u, v)
+        assert got == _chain(g.out_masks, (1 << n) - 1, 3, 2, {}, (u, v))
+        seen.add((n, got))
+    assert seen == {(n, b) for n in (6, 7) for b in (False, True)}
+    # t = 3 holds no copy with k >= 3 below 9 vertices, so the answer
+    # is no at n <= 7.  At n = 9 a copy needs 27 arcs, so the hosts are
+    # mostly digons; both answers occur against the full-mask walk, and
+    # enumeration (about 0.7 s a host) checks one of each
+    rng = random.Random(37)
+    for n in range(6, 8):
+        u, v = rng.sample(range(n), 2)
+        g = dense_host(rng, n, u, v)
+        assert not arc_completes_blowup(g.out_masks, _in_masks(g), n, 3, 3, u, v)
+        assert not brute_completes(g, 3, 3, u, v)
+    seen = {}
+    for _ in range(60):
+        u, v = rng.sample(range(9), 2)
+        digons = rng.choice((0.6, 0.75, 0.9))
+        g = add_arc(Digraph(9, tuple(3 if rng.random() < digons else rng.randint(0, 2)
+                                     for _ in range(36))), u, v)
+        got = arc_completes_blowup(g.out_masks, _in_masks(g), 9, 3, 3, u, v)
+        assert got == _chain(g.out_masks, (1 << 9) - 1, 3, 3, {}, (u, v)), (g, u, v)
+        seen.setdefault(got, (g, u, v))
+    assert set(seen) == {False, True}
+    for got, (g, u, v) in seen.items():
+        assert brute_completes(g, 3, 3, u, v) == got
 
 
 @settings(max_examples=200, deadline=None)
@@ -334,8 +368,9 @@ def test_arc_completes_blowup_invariant_under_relabelling(g, k, t, data):
     u, v = data.draw(st.permutations(range(g.n)))[:2]
     perm = data.draw(st.permutations(range(g.n)))
     relabelled = Digraph.from_arcs(g.n, [(perm[x], perm[y]) for x, y in g.arcs()])
-    assert arc_completes_blowup(relabelled.out_masks, g.n, k, t, perm[u], perm[v]) == \
-        arc_completes_blowup(g.out_masks, g.n, k, t, u, v)
+    assert arc_completes_blowup(relabelled.out_masks, _in_masks(relabelled), g.n, k, t,
+                                perm[u], perm[v]) == \
+        arc_completes_blowup(g.out_masks, _in_masks(g), g.n, k, t, u, v)
 
 
 def test_incremental_check_tracks_freeness_along_arc_insertions():
@@ -352,7 +387,7 @@ def test_incremental_check_tracks_freeness_along_arc_insertions():
         rng.shuffle(arcs)
         for (u, v) in arcs:
             nxt = add_arc(g, u, v)
-            completed = arc_completes_blowup(nxt.out_masks, n, k, t, u, v)
+            completed = arc_completes_blowup(nxt.out_masks, _in_masks(nxt), n, k, t, u, v)
             assert completed == (not is_free(nxt, spec))
             if completed:
                 break

@@ -225,6 +225,33 @@ def test_free_walk_arc_check_calls_frozen(case, monkeypatch):
     assert (explored, calls) == ARC_CHECK_CALLS[case]
 
 
+@pytest.mark.parametrize("mode", [DIGRAPH, ORIENTED])
+def test_free_walk_keeps_in_masks_of_its_out_masks(mode, monkeypatch):
+    # the walk updates in-masks beside out-masks and restores both after
+    # each child; a slip hands later checks a digraph that is not there
+    real = embed.arc_completes_blowup
+    calls = 0
+
+    def checked(out_masks, in_masks, n, k, t, u, v):
+        nonlocal calls
+        calls += 1
+        derived = [sum(1 << w for w in range(n) if out_masks[w] >> x & 1) for x in range(n)]
+        assert list(in_masks) == derived, (list(out_masks), list(in_masks), u, v)
+        return real(out_masks, in_masks, n, k, t, u, v)
+
+    monkeypatch.setattr(search, "arc_completes_blowup", checked)
+    # digraph n = 5 censuses make up to 1.07M checks, so they stop at 4;
+    # T_3^2 first reaches the pending walk at n = 6
+    top = 4 if mode == DIGRAPH else 5
+    for spec in SPECS:
+        for n in range(2, 6):
+            if n <= top:
+                census.count_free(n, spec, mode)
+            extremal(n, spec, Weight.rational(2), mode)
+    extremal(6, BlowupSpec(3, 2), Weight.rational(2), mode)
+    assert calls > 40_000
+
+
 def test_naive_reports_lexicographically_first_optimum():
     res = extremal_naive(3, BlowupSpec(2, 2), Weight.rational(2))
     # every graph on 3 vertices is free; the all-digon graph is the
