@@ -26,6 +26,11 @@ position q of the block starting at high row h0 is graph
 h0 * radix**m + q: ascending index is encode order within a block, and
 blocks come in ascending order.  Every graph is still decoded and tested.
 
+The frontier is read off one table over the cells (f2, f1).  A cell is
+written once, when its first free graph turns up, with that graph's
+index; blocks ascend, so the first index kept for each cell is its
+smallest.
+
 Capacity: oriented mode up to n = 6, digraph mode up to n = 5.  Above
 that the sweep refuses rather than grind.
 """
@@ -196,24 +201,12 @@ def _block(hi, lo, h0, h1):
             np.add.outer(hi_f2[h0:h1], lo_f2).ravel())
 
 
-def _sweep_block(n, k, t, hi, lo, h0, h1):
-    outs, f1, f2 = _block(hi, lo, h0, h1)
-    free = ~_contains_chunk(outs, n, k, t, f1.shape[0])
-    base = h0 * lo[1].shape[0]
-    cells: dict[int, tuple[int, int]] = {}
-    if free.any():
-        for v in np.unique(f2[free]):
-            sel = free & (f2 == v)
-            f1m = f1[sel].max()
-            cells[int(v)] = (int(f1m), base + int(np.argmax(sel & (f1 == f1m))))
-    return int(free.sum()), cells
-
-
 # About how many graphs each block holds, rounded down to whole high-table
-# rows (see the module docstring), at least one.  It was the fastest size
-# measured: the seven `oracle_sweep` benchmark jobs took 0.64-0.75 s in all
-# at 2^15 graphs a block, 0.71-0.81 s at 2^17, 1.1-1.2 s at 2^19 and
-# 1.5-1.7 s at 2^13 (three fresh-process runs each on a 2-core Xeon VM).
+# rows (see the module docstring), at least one.  The seven `oracle_sweep`
+# benchmark jobs took 0.46-0.50 s in all at 2^15 graphs a block,
+# 0.37-0.41 s at 2^17 and 1.11-1.28 s at 2^13 (three fresh-process runs
+# each on a 2-core Xeon VM).  2^17 is faster, but its larger block columns
+# raise peak memory from 30.1 to 33.7 MB on the same jobs.
 _BLOCK = 1 << 15
 
 
@@ -245,17 +238,21 @@ def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1) -> SweepSummary
 def _summarise(n: int, mode: str, k: int, t: int) -> SweepSummary:
     """The sweep itself, one summary per (n, mode, k, t), for valid input."""
     hi, lo = _decode_tables(n, mode)
-    hi_rows = hi[1].shape[0]
-    per = max(1, _BLOCK // lo[1].shape[0])
+    hi_rows, lo_rows = hi[1].shape[0], lo[1].shape[0]
+    per = max(1, _BLOCK // lo_rows)
+    w = comb(n, 2) + 1
+    # first[f2 * w + f1]: the first free graph index with that (f1, f2), or -1
+    first = np.full(w * w, -1, np.int64)
     free_count = 0
-    frontier: dict[int, tuple[int, int]] = {}
     for h0 in range(0, hi_rows, per):
-        cnt, cells = _sweep_block(n, k, t, hi, lo, h0, min(h0 + per, hi_rows))
-        free_count += cnt
-        # blocks come in index order, so an equal f1 keeps the earlier cell
-        for f2v, cell in cells.items():
-            cur = frontier.get(f2v)
-            if cur is None or cell[0] > cur[0]:
-                frontier[f2v] = cell
+        outs, f1, f2 = _block(hi, lo, h0, min(h0 + per, hi_rows))
+        free = ~_contains_chunk(outs, n, k, t, f1.shape[0])
+        cell = f2 * w + f1
+        hits = np.bincount(cell[free], minlength=w * w)
+        free_count += int(hits.sum())
+        for c in np.flatnonzero((hits > 0) & (first < 0)):
+            first[c] = h0 * lo_rows + int(np.argmax(free & (cell == c)))
+    # ascending cells, so each f2's last write carries its largest f1
+    frontier = {int(c) // w: (int(c) % w, int(first[c])) for c in np.flatnonzero(first >= 0)}
     return SweepSummary(n=n, mode=mode, k=k, t=t, total=_RADIX[mode] ** comb(n, 2),
                         free_count=free_count, frontier=frontier)

@@ -35,13 +35,25 @@ SPECS = [BlowupSpec(2, 1), BlowupSpec(3, 1), BlowupSpec(4, 1), BlowupSpec(2, 2)]
 
 def naive_count_partite(n: int, r: int, t: int, mode: str) -> int:
     """Try every class assignment on every digraph; class freeness goes
-    through the embedding search, not the chain solver."""
+    through the embedding search, not the chain solver.  The classes of
+    each assignment are listed once, and each digraph tests a class (by
+    vertex mask) at most once."""
     pattern = blowup(2, t)
+    assignments = []
+    for assign in product(range(r), repeat=n):
+        classes = [[v for v in range(n) if assign[v] == p] for p in range(r)]
+        assignments.append([(sum(1 << v for v in c), c) for c in classes])
     total = 0
     for g in iter_digraphs(n, mode):
-        for assign in product(range(r), repeat=n):
-            classes = [[v for v in range(n) if assign[v] == p] for p in range(r)]
-            if all(contains(g.induced(c), pattern) is None for c in classes):
+        free: dict[int, bool] = {}
+        for classes in assignments:
+            for mask, verts in classes:
+                ok = free.get(mask)
+                if ok is None:
+                    ok = free[mask] = contains(g.induced(verts), pattern) is None
+                if not ok:
+                    break
+            else:
                 total += 1
                 break
     return total
