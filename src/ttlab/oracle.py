@@ -19,17 +19,29 @@ index" and "encode-minimal" mean the same thing.
 Decoding: the last m = ceil(P/2) pairs are the low half and the rest the
 high half, so g = hi * radix**m + lo.  Each sweep decodes every digit
 string of each half once (at most 3^8 = 6,561 or 4^5 = 1,024 rows), and
-a block of graphs is a run of whole high rows: each vertex's out-mask
-column is the OR-outer of its two half columns, and f1, f2 the
-sum-outer.  The outer product raveled row-major runs lo fastest, so
-position q of the block starting at high row h0 is graph
-h0 * radix**m + q: ascending index is encode order within a block, and
-blocks come in ascending order.  Every graph is still decoded and tested.
+a block of graphs is a run of whole high rows.  Every graph is still
+decoded and tested.
 
-The frontier is read off one table over the cells (f2, f1).  A cell is
-written once, when its first free graph turns up, with that graph's
-index; blocks ascend, so the first index kept for each cell is its
-smallest.
+Bit layout: the walk tests 64 graphs per machine word.  Each directed
+arc (u, v) has one packed uint64 column per block, one bit per graph.
+The L low rows are padded to whole words, Lw = ceil(L / 64) words or
+Lp = 64 * Lw bits, so high row h of the block starting at h0 holds words
+(h - h0) * Lw .. (h - h0 + 1) * Lw - 1, and bit (h - h0) * Lp + l is
+graph h * L + l.  The index stays hi * L + lo: ascending index is encode
+order within a block, and blocks come in ascending order.  An arc lies in
+one half only.  A low arc's words are packed once per sweep and tiled to
+a block's high rows; a high arc's word is all ones or all zeros, repeated
+Lw times per high row.  The Lp - L padding bits of each row are marked
+off by a column `valid`, which the walk starts from, so no padding bit is
+ever set in an answer or counted.
+
+Cells: a graph's cell is f2 * w + f1 with w = P + 1.  f1 and f2 add over
+the two halves, so each half keeps an int16 cell per row, and a block's
+cells are the sum-outer of the two, built a few high rows at a time next
+to the free bits unpacked from the walk's answer.  The frontier is read
+off one table over the cells.  A cell is written once, when its first
+free graph turns up, with that graph's index; blocks ascend, so the first
+index kept for each cell is its smallest.
 
 Capacity: oriented mode up to n = 6, digraph mode up to n = 5.  Above
 that the sweep refuses rather than grind.
@@ -116,50 +128,84 @@ def _out_columns(states: np.ndarray, n: int) -> list[np.ndarray]:
     return outs
 
 
-def _chain_walk(outs, sets, t, found, allowed, used, levels):
-    """One level of the chain walk, for every row (graph) at once.
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """A 0/1 column as uint64 words, bit l of the column in bit l % 64 of
+    word l // 64 (read through the words' bytes), padded with zero bits
+    to whole words."""
+    return np.packbits(np.pad(bits, (0, -len(bits) % 64)), bitorder="little").view(np.uint64)
 
-    sets lists every t-set as (mask, vertices).  allowed is the column of
-    vertex sets the next t-set must lie inside, and levels how many t-sets
-    are still to pick.  used holds the vertices the chain has taken so far,
-    the same in every row; no row's allowed meets it, so sets meeting it
-    are skipped unread.  Rows where a set is not inside allowed get
-    allowed = 0 below it, so they fail every test further down.  The last
-    set is never picked: a chain completes where allowed & T(S) of the
-    one before it still holds t vertices.  found collects the rows that
-    hold a chain.
+
+def _unpack(words: np.ndarray) -> np.ndarray:
+    """The bool column of packed words, padding bits included."""
+    return np.unpackbits(words.view(np.uint8), bitorder="little").view(bool)
+
+
+def _packed_arcs(states: np.ndarray, n: int):
+    """Packed arc columns of the graphs given as state rows: arcs[u][v]
+    has bit l set iff row l has the arc u -> v (None for u = v), and the
+    column valid has bit l set for every row, none for padding."""
+    outs = _out_columns(states, n)
+    arcs = [[None if u == v else _pack(outs[u] >> v & 1) for v in range(n)] for u in range(n)]
+    return arcs, _pack(np.ones(states.shape[0], np.uint8))
+
+
+def _chain_walk(arcs, sets, t, found, allowed, used, levels):
+    """One level of the chain walk, for every graph of a block at once.
+
+    Every column is packed, one bit per graph.  sets lists every t-set as
+    (mask, vertices).  allowed[w] is the column of graphs in which w may
+    still join the chain, None for a vertex in used (the vertices the
+    chain has taken so far, the same in every graph), and levels is how
+    many t-sets are still to pick.  inside is where all of a set S is
+    allowed, and the next level allows w where w is also an
+    out-neighbour of every vertex of S.  The last set is never picked: a
+    chain completes where the one before it still has t allowed common
+    out-neighbours.  found collects the graphs that hold a chain.
     """
+    n = len(allowed)
     for mask, verts in sets:
         if mask & used:
             continue
-        nxt = allowed & outs[verts[0]]
+        inside = allowed[verts[0]]
         for v in verts[1:]:
-            nxt &= outs[v]
-        inside = (allowed & mask) == mask
-        if levels == 1:
-            # x & (x - 1) drops x's lowest vertex (0 - 1 wraps to 255, so 0
-            # stays 0): nxt is nonzero after t - 1 drops iff it held t vertices
-            for _ in range(t - 1):
-                nxt &= nxt - 1
-            hit = nxt != 0
-            hit &= inside
-            found |= hit
-        else:
-            nxt *= inside  # zero, in place, the rows where the set does not fit
-            _chain_walk(outs, sets, t, found, nxt, used | mask, levels - 1)
+            inside = inside & allowed[v]
+        rest = [w for w in range(n) if allowed[w] is not None and not mask >> w & 1]
+        if levels > 1:
+            nxt = [None] * n
+            for w in rest:
+                nxt[w] = inside & allowed[w]
+                for v in verts:
+                    nxt[w] &= arcs[v][w]
+            _chain_walk(arcs, sets, t, found, nxt, used | mask, levels - 1)
+            continue
+        # bit-sliced counters: c[j] marks the graphs where at least j + 1 of
+        # the w so far are allowed common out-neighbours of S (None: none)
+        c = [None] * t
+        for w in rest:
+            x = allowed[w] & arcs[verts[0]][w]
+            for v in verts[1:]:
+                x &= arcs[v][w]
+            for j in range(t - 1, 0, -1):
+                if c[j - 1] is not None:
+                    c[j] = c[j - 1] & x if c[j] is None else c[j] | (c[j - 1] & x)
+            c[0] = x if c[0] is None else c[0] | x
+        if c[-1] is not None:
+            found |= inside & c[-1]
 
 
-def _contains_chunk(outs, n, k, t, rows):
-    """Bool column: which of the block's `rows` graphs contain blowup(k, t).
+def _contains_chunk(arcs, valid, k, t):
+    """Packed column: which graphs of a block contain blowup(k, t).
 
-    The row count is passed because outs is empty when n = 0."""
+    arcs are the block's packed arc columns (n = len(arcs), possibly 0)
+    and valid marks its graphs; no padding bit of the answer is set."""
+    n = len(arcs)
     if k * t > n:
-        return np.zeros(rows, bool)
+        return np.zeros_like(valid)
     if k == 1:
-        return np.ones(rows, bool)
+        return valid.copy()
     sets = [(sum(1 << v for v in verts), verts) for verts in combinations(range(n), t)]
-    found = np.zeros(rows, bool)
-    _chain_walk(outs, sets, t, found, np.full(rows, (1 << n) - 1, np.uint8), 0, k - 1)
+    found = np.zeros_like(valid)
+    _chain_walk(arcs, sets, t, found, [valid] * n, 0, k - 1)
     return found
 
 
@@ -171,10 +217,15 @@ def _decode_tables(n, mode):
     """Split the pairs into a high half and the last m = ceil(P/2) pairs,
     and decode each half once: index g = hi * radix**m + lo.
 
-    Returns (hi, lo), each an (out-mask columns, f1, f2) triple with one
-    row per digit string of its half.  A half's row is the graph with the
-    other half's pairs in state 0, which adds no arc, so graph g's
-    out-masks are hi's row OR lo's row and its f1, f2 are the sums.
+    A half's row is the graph with the other half's pairs in state 0,
+    which adds no arc.  So each arc of graph g comes from one half's row,
+    and g's cell f2 * w + f1 (w = P + 1) is the sum of its rows' cells.
+    Returns (hi_arcs, hi_cell) and (lo_arcs, lo_valid, lo_cell):
+    - hi_arcs[u][v] holds one word per high row, all ones where the row
+      has the arc u -> v and all zeros where not;
+    - lo_arcs and lo_valid are the low rows packed (`_packed_arcs`);
+    - each cell column holds one int16 per row of its half.
+    An arc column is None in the half that does not hold its pair.
     """
     radix = _RADIX[mode]
     npairs = comb(n, 2)
@@ -185,29 +236,63 @@ def _decode_tables(n, mode):
         states = np.zeros((digits.shape[0], npairs), np.uint8)
         for p in range(width):
             states[:, first + p] = digits // radix ** (width - 1 - p) % radix
-        single = (states == 1) | (states == 2)
-        halves.append((_out_columns(states, n),
-                       single.sum(axis=1, dtype=np.int16),
-                       (states == 3).sum(axis=1, dtype=np.int16)))
-    return halves
+        single = ((states == 1) | (states == 2)).sum(axis=1, dtype=np.int16)
+        halves.append((states, (states == 3).sum(axis=1, dtype=np.int16) * (npairs + 1) + single))
+    (hi_states, hi_cell), (lo_states, lo_cell) = halves
+    outs = _out_columns(hi_states, n)
+    lo_arcs, lo_valid = _packed_arcs(lo_states, n)
+    hi_arcs = [[None] * n for _ in range(n)]
+    for i, j in pair_list(n)[:npairs - m]:
+        for u, v in ((i, j), (j, i)):
+            hi_arcs[u][v] = -(outs[u] >> v & 1).astype(np.uint64)  # -1 wraps to all ones
+            lo_arcs[u][v] = None
+    return (hi_arcs, hi_cell), (lo_arcs, lo_valid, lo_cell)
+
+
+def _tile(lo, rows):
+    """lo's packed columns repeated `rows` times: the low half of a block
+    of `rows` high rows, and a prefix of it for any smaller block."""
+    lo_arcs, lo_valid, lo_cell = lo
+    return ([[None if col is None else np.tile(col, rows) for col in row] for row in lo_arcs],
+            np.tile(lo_valid, rows), lo_cell)
 
 
 def _block(hi, lo, h0, h1):
-    """Out-mask columns, f1 and f2 of high rows h0 .. h1 - 1 crossed with
-    every low row: graphs h0*L .. h1*L - 1 in index order, L low rows."""
-    (hi_out, hi_f1, hi_f2), (lo_out, lo_f1, lo_f2) = hi, lo
-    outs = [np.bitwise_or.outer(h[h0:h1], l).ravel() for h, l in zip(hi_out, lo_out)]
-    return (outs, np.add.outer(hi_f1[h0:h1], lo_f1).ravel(),
-            np.add.outer(hi_f2[h0:h1], lo_f2).ravel())
+    """Packed arc columns and valid column of high rows h0 .. h1 - 1
+    crossed with every low row, lo `_tile`d for at least h1 - h0 rows.
+
+    High row h takes words (h - h0) * Lw .. (h - h0 + 1) * Lw - 1 of each
+    column, Lw = ceil(L / 64) for L low rows, so bit (h - h0) * 64 * Lw + l
+    is graph h * L + l.  A low arc's column is a slice of lo's, a high
+    arc's its high row's word repeated Lw times."""
+    (hi_arcs, _), (lo_arcs, lo_valid, lo_cell) = hi, lo
+    lw = -(-lo_cell.shape[0] // 64)
+    end = (h1 - h0) * lw
+
+    def column(hi_col, lo_col):
+        if lo_col is not None:
+            return lo_col[:end]
+        return None if hi_col is None else np.repeat(hi_col[h0:h1], lw)
+
+    arcs = [[column(*cols) for cols in zip(*rows)] for rows in zip(hi_arcs, lo_arcs)]
+    return arcs, lo_valid[:end]
 
 
 # About how many graphs each block holds, rounded down to whole high-table
 # rows (see the module docstring), at least one.  The seven `oracle_sweep`
-# benchmark jobs took 0.46-0.50 s in all at 2^15 graphs a block,
-# 0.37-0.41 s at 2^17 and 1.11-1.28 s at 2^13 (three fresh-process runs
-# each on a 2-core Xeon VM).  2^17 is faster, but its larger block columns
-# raise peak memory from 30.1 to 33.7 MB on the same jobs.
-_BLOCK = 1 << 15
+# benchmark jobs took, in all (median of five fresh-process runs on a
+# 2-core Xeon VM, with the process's peak RSS): 0.245 s and 34.2 MB at
+# 2^15 graphs a block, 0.152 s and 34.1 MB at 2^16, 0.113 s and 34.5 MB
+# at 2^17, 0.095 s and 35.2 MB at 2^18.  The walk's per-call overhead
+# favours big blocks and its columns cost memory, so 2^17 keeps peak RSS
+# at that of the earlier one-byte-per-graph walk (34.4 MB at 2^15, where
+# it took 0.380 s).
+_BLOCK = 1 << 17
+# About how many graphs of a block are unpacked to bools and cells at a
+# time, in whole high rows, at least one.  At 2^17 graphs a block the
+# seven jobs peaked at 34.5 MB unpacking 2^15 graphs at a time, 35.1 MB
+# at 2^16 and 36.0 MB at 2^17, in about the same time.
+_UNPACK = 1 << 15
 
 
 def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1) -> SweepSummary:
@@ -217,11 +302,19 @@ def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1) -> SweepSummary
     one sweep.  A summary is seven fields and at most C(n,2) + 1 frontier
     cells, and n is capped by SWEEP_BOUND, so the memo is left unbounded.
 
-    Blocks run one after another, in index order: a thread pool over
-    blocks was slower on every sweep measured (oriented n = 6 T_2^2
-    0.56 s against 0.42 s, T_3^2 2.42 s against 1.50 s).  threads must
-    be 1; the keyword stays only because the benchmark worker
-    (perfbench/worker.py) passes threads=1."""
+    Each block is tested 64 graphs per machine word (module docstring).
+    On a 2-core Xeon VM (median of three fresh-process runs) the oriented
+    n = 6 sweeps over all 3^15 graphs take 0.08 s (T_3^1), 0.23 s
+    (T_4^1), 0.47 s (T_5^1), 0.10 s (T_2^2), 0.21 s (T_3^2) and 0.10 s
+    (T_2^3); the digraph n = 5 sweeps over all 4^10 graphs take
+    0.003-0.015 s each.
+
+    Blocks run one after another, in index order: with the earlier
+    one-byte-per-graph walk, a thread pool over blocks was slower on
+    every sweep measured (oriented n = 6 T_2^2 0.56 s against 0.42 s,
+    T_3^2 2.42 s against 1.50 s).  threads must be 1; the keyword stays
+    only because the benchmark worker (perfbench/worker.py) passes
+    threads=1."""
     if threads != 1:
         raise ValueError(f"sweep runs serially; threads must be 1, got {threads}")
     require_mode(mode)
@@ -238,20 +331,29 @@ def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1) -> SweepSummary
 def _summarise(n: int, mode: str, k: int, t: int) -> SweepSummary:
     """The sweep itself, one summary per (n, mode, k, t), for valid input."""
     hi, lo = _decode_tables(n, mode)
-    hi_rows, lo_rows = hi[1].shape[0], lo[1].shape[0]
-    per = max(1, _BLOCK // lo_rows)
+    hi_cell, lo_cell = hi[1], lo[2]
+    hi_rows, lo_rows = hi_cell.shape[0], lo_cell.shape[0]
+    lw = -(-lo_rows // 64)
+    per = min(hi_rows, max(1, _BLOCK // lo_rows))
+    sub = max(1, _UNPACK // lo_rows)
+    lo = _tile(lo, per)
     w = comb(n, 2) + 1
     # first[f2 * w + f1]: the first free graph index with that (f1, f2), or -1
     first = np.full(w * w, -1, np.int64)
     free_count = 0
     for h0 in range(0, hi_rows, per):
-        outs, f1, f2 = _block(hi, lo, h0, min(h0 + per, hi_rows))
-        free = ~_contains_chunk(outs, n, k, t, f1.shape[0])
-        cell = f2 * w + f1
-        hits = np.bincount(cell[free], minlength=w * w)
-        free_count += int(hits.sum())
-        for c in np.flatnonzero((hits > 0) & (first < 0)):
-            first[c] = h0 * lo_rows + int(np.argmax(free & (cell == c)))
+        h1 = min(h0 + per, hi_rows)
+        arcs, valid = _block(hi, lo, h0, h1)
+        free = ~_contains_chunk(arcs, valid, k, t)
+        for s0 in range(h0, h1, sub):
+            s1 = min(s0 + sub, h1)
+            # graphs s0 * L .. s1 * L - 1, the padding bits cut off
+            bits = _unpack(free[(s0 - h0) * lw:(s1 - h0) * lw]).reshape(s1 - s0, -1)[:, :lo_rows]
+            cell = np.add.outer(hi_cell[s0:s1], lo_cell)
+            hits = np.bincount(cell[bits], minlength=w * w)
+            free_count += int(hits.sum())
+            for c in np.flatnonzero((hits > 0) & (first < 0)):
+                first[c] = s0 * lo_rows + int(np.argmax(bits & (cell == c)))
     # ascending cells, so each f2's last write carries its largest f1
     frontier = {int(c) // w: (int(c) % w, int(first[c])) for c in np.flatnonzero(first >= 0)}
     return SweepSummary(n=n, mode=mode, k=k, t=t, total=_RADIX[mode] ** comb(n, 2),

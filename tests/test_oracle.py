@@ -46,34 +46,40 @@ def test_graph_from_index_refuses_indices_outside_the_mode():
         graph_from_index(0, DIGRAPH, 1)
 
 
-def fresh_summary(monkeypatch, n, spec, mode, block):
+def fresh_summary(monkeypatch, n, spec, mode, block, unpack=None):
     """A sweep computed afresh, past the memo, over blocks of about
-    `block` graphs."""
+    `block` graphs, unpacked about `unpack` graphs at a time."""
     monkeypatch.setattr(oracle, "_BLOCK", block)
+    if unpack is not None:
+        monkeypatch.setattr(oracle, "_UNPACK", unpack)
     return oracle._summarise.__wrapped__(n, mode, spec.k, spec.t)
 
 
 @pytest.mark.parametrize("mode", [DIGRAPH, ORIENTED])
 @pytest.mark.parametrize("spec", SPECS, ids=str)
 def test_sweep_frontier_matches_per_graph_recount(monkeypatch, mode, spec):
-    n = 4
-    free = 0
-    frontier: dict[int, tuple[int, int]] = {}
-    for idx, g in enumerate(iter_digraphs(n, mode)):
-        if not is_free(g, spec):
-            continue
-        free += 1
-        cell = frontier.get(g.f2)
-        if cell is None or g.f1 > cell[0]:
-            frontier[g.f2] = (g.f1, idx)
-    summaries = [sweep(n, spec, mode)]
-    # blocks of one high-table row (27 or 64 graphs) up to the whole sweep
-    for block in (1, 7, 64, 100, 4096):
-        summaries.append(fresh_summary(monkeypatch, n, spec, mode, block))
-    for summary in summaries:
-        assert summary.free_count == free
-        assert summary.frontier == frontier
-        assert summary.total == (4 if mode == DIGRAPH else 3) ** 6
+    for n in (3, 4):
+        free = 0
+        frontier: dict[int, tuple[int, int]] = {}
+        for idx, g in enumerate(iter_digraphs(n, mode)):
+            if not is_free(g, spec):
+                continue
+            free += 1
+            cell = frontier.get(g.f2)
+            if cell is None or g.f1 > cell[0]:
+                frontier[g.f2] = (g.f1, idx)
+        summaries = [sweep(n, spec, mode)]
+        # a high-table row is 9 or 16 graphs at n = 3 and 27 or 64 at n = 4,
+        # so blocks run from less than one word, and from rows that pad to
+        # a whole word, up to the whole sweep; unpacking one row at a time
+        # cuts blocks into several runs
+        for block in (1, 7, 64, 100, 4096):
+            for unpack in (None, 1, 50):
+                summaries.append(fresh_summary(monkeypatch, n, spec, mode, block, unpack))
+        for summary in summaries:
+            assert summary.free_count == free
+            assert summary.frontier == frontier
+            assert summary.total == (4 if mode == DIGRAPH else 3) ** comb(n, 2)
 
 
 decode_tables = cache(oracle._decode_tables)
@@ -83,33 +89,45 @@ decode_tables = cache(oracle._decode_tables)
 @given(n=st.integers(0, 6), mode=st.sampled_from([DIGRAPH, ORIENTED]), data=st.data())
 def test_block_decode_matches_graph_from_index(n, mode, data):
     hi, lo = decode_tables(n, mode)
-    hi_rows, lo_rows = len(hi[1]), len(lo[1])
+    hi_rows, lo_rows = len(hi[1]), len(lo[2])
     g = data.draw(st.integers(0, hi_rows * lo_rows - 1))
-    h = g // lo_rows
+    h, l = divmod(g, lo_rows)
     h0 = data.draw(st.integers(max(0, h - 3), h))
     h1 = data.draw(st.integers(h + 1, min(hi_rows, h + 4)))
-    outs, f1, f2 = oracle._block(hi, lo, h0, h1)
-    pos = g - h0 * lo_rows
+    # low columns tiled for more rows than the block has, as for a last block
+    tiled = oracle._tile(lo, h1 - h0 + data.draw(st.integers(0, 2)))
+    arcs, valid = oracle._block(hi, tiled, h0, h1)
+    lp = 64 * -(-lo_rows // 64)
+    pos = (h - h0) * lp + l
     want = graph_from_index(n, mode, g)
-    assert [int(col[pos]) for col in outs] == list(want.out_masks)
-    assert (int(f1[pos]), int(f2[pos])) == (want.f1, want.f2)
+    for u in range(n):
+        assert arcs[u][u] is None
+        for v in range(n):
+            if v != u:
+                assert oracle._unpack(arcs[u][v])[pos] == bool(want.out_masks[u] >> v & 1)
+    bits = oracle._unpack(valid).reshape(h1 - h0, lp)
+    assert bits[:, :lo_rows].all() and not bits[:, lo_rows:].any()
+    assert hi[1][h] + lo[2][l] == want.f2 * (comb(n, 2) + 1) + want.f1
 
 
-def out_columns(n, rows):
-    """The out-mask columns of a block of graphs given as state rows."""
-    return oracle._out_columns(np.array(rows, np.uint8).reshape(len(rows), comb(n, 2)), n)
+def packed(n, rows):
+    """The packed arc and valid columns of a block of graphs given as state rows."""
+    return oracle._packed_arcs(np.array(rows, np.uint8).reshape(len(rows), comb(n, 2)), n)
 
 
 @st.composite
 def blocks(draw):
     n = draw(st.integers(0, 6))
     mode = draw(st.sampled_from([DIGRAPH, ORIENTED]))
-    k = draw(st.integers(1, n + 1))
-    t = draw(st.integers(1, (n + 1) // k))
-    state = st.integers(0, 3 if mode == DIGRAPH else 2)
-    rows = draw(st.lists(st.lists(state, min_size=comb(n, 2), max_size=comb(n, 2)),
-                         min_size=1, max_size=12))
-    return n, k, t, rows
+    t = draw(st.integers(1, max(1, n // 2)))
+    k = draw(st.integers(1, n // t + 1))
+    # rows just under, at and just over a word, with state frequencies
+    # drawn afresh so that sparse, dense and digon-heavy blocks all occur
+    count = draw(st.sampled_from([1, 63, 64, 65]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    radix = 4 if mode == DIGRAPH else 3
+    rows = rng.choice(radix, (count, comb(n, 2)), p=rng.dirichlet(np.ones(radix)))
+    return n, k, t, rows.tolist()
 
 
 # the chain walk against the embedding backtracker, a different algorithm
@@ -117,21 +135,26 @@ def blocks(draw):
 @given(block=blocks())
 def test_contains_chunk_matches_backtracker_row_by_row(block):
     n, k, t, rows = block
-    found = oracle._contains_chunk(out_columns(n, rows), n, k, t, len(rows))
+    arcs, valid = packed(n, rows)
+    # set every padding bit of every arc, as a high arc's all-ones word does
+    arcs = [[None if col is None else col | ~valid for col in row] for row in arcs]
+    bits = oracle._unpack(oracle._contains_chunk(arcs, valid, k, t))
     h = blowup(k, t)
-    assert found.tolist() == [contains(Digraph(n, tuple(r)), h) is not None for r in rows]
+    assert bits[:len(rows)].tolist() == [contains(Digraph(n, tuple(r)), h) is not None
+                                         for r in rows]
+    assert not bits[len(rows):].any()  # no padding bit is set
 
 
 def test_contains_chunk_leaves_no_garbage():
     # a reference cycle would keep each block's columns alive until the
     # collector runs, which shows as peak memory over a sweep
     rng = np.random.default_rng(7)
-    outs = out_columns(6, rng.integers(0, 4, (4096, comb(6, 2))))
+    arcs, valid = packed(6, rng.integers(0, 4, (4096, comb(6, 2))))
     gc.collect()
     gc.disable()
     try:
-        for k in range(2, 6):
-            oracle._contains_chunk(outs, 6, k, 1, 4096)
+        for k, t in ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (2, 3)):
+            oracle._contains_chunk(arcs, valid, k, t)
         assert gc.collect() == 0
     finally:
         gc.enable()
