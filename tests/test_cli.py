@@ -140,6 +140,74 @@ def test_csv_gen_header_is_fixed(capsys):
     assert lines[1] == "gen,dtr,3,2,,,0,2,TDG 3 033"
 
 
+# every (command, second word) pair, with check both free and not free and
+# ex at an exact and an irrational weight: argv, text stdout, csv stdout
+GOLDEN = [
+    (["gen", "dtr", "--n", "4", "--r", "2"],
+     "TDG 4 033330\n",
+     "command,construction,n,r,k,t,f1,f2,encoding\n"
+     "gen,dtr,4,2,,,0,4,TDG 4 033330\n"),
+    (["gen", "blowup", "--k", "3", "--t", "2"],
+     "TDG 6 011111111011110\n",
+     "command,construction,n,r,k,t,f1,f2,encoding\n"
+     "gen,blowup,6,,3,2,12,0,TDG 6 011111111011110\n"),
+    (["check", "--graph", "g.tdg", "--k", "3", "--t", "1"],
+     "free: yes\n",
+     "command,graph,k,t,free,witness\n"
+     "check,TDG 4 033330,3,1,true,\n"),
+    (["check", "--graph", "g.tdg", "--k", "2", "--t", "2"],
+     "free: no\nwitness: 0 1 2 3\n",
+     "command,graph,k,t,free,witness\n"
+     "check,TDG 4 033330,2,2,false,0 1 2 3\n"),
+    (["ex", "--n", "4", "--k", "3", "--t", "1"],
+     "value: 8  (f1=0, f2=4)\nwitness: TDG 4 033330\nexplored: 11\n",
+     "command,n,k,t,weight,mode,f1,f2,value_exact,value_float,witness,explored\n"
+     "ex,4,3,1,2,digraph,0,4,8,8.0,TDG 4 033330,11\n"),
+    (["ex", "--n", "4", "--k", "3", "--t", "1", "--weight", "log3"],
+     "value: ~6.339850  (f1=0, f2=4)\nwitness: TDG 4 033330\nexplored: 15\n",
+     "command,n,k,t,weight,mode,f1,f2,value_exact,value_float,witness,explored\n"
+     "ex,4,3,1,log3,digraph,0,4,,6.339850002884624,TDG 4 033330,15\n"),
+    (["count", "free", "--n", "4", "--k", "3", "--t", "1"],
+     "921\n",
+     "command,variant,n,k,r,t,mode,count\n"
+     "count,free,4,3,,1,digraph,921\n"),
+    (["count", "partite", "--n", "4", "--r", "2", "--t", "1"],
+     "829\n",
+     "command,variant,n,k,r,t,mode,count\n"
+     "count,partite,4,,2,1,digraph,829\n"),
+    (["ratio", "--n", "4", "--r", "2", "--t", "1"],
+     "free_count:    921\n"
+     "partite_count: 829\n"
+     "ratio:         921/829  (~1.110977)\n"
+     "lower_bound:   81\n"
+     "note: 3^t_r(n) * 2^E with E the maximum arc count of a blowup(2,t)-free oriented"
+     " graph on floor(n/r) vertices; derived for oriented mode and valid (weaker) for"
+     " digraph mode\n",
+     "command,n,r,t,mode,free_count,partite_count,ratio,ratio_float,lower_bound\n"
+     "ratio,4,2,1,digraph,921,829,921/829,1.1109770808202655,81\n"),
+    (["mh", "--k", "3", "--t", "2"],
+     "m: 11/4\n"
+     "exponent: 18/11  (~1.636364)\n"
+     "argmax_subgraph: TDG 6 011111111011110\n"
+     "bound_shape: c * N^(18/11) * log N\n",
+     "command,k,t,m,exponent,exponent_float,argmax_subgraph,bound_shape\n"
+     "mh,3,2,11/4,18/11,1.6363636363636365,TDG 6 011111111011110,c * N^(18/11) * log N\n"),
+    (["editdist", "--graph", "g.tdg", "--r", "3"],
+     "distance: 2\npartition: 0 0 1 2\n",
+     "command,graph,r,distance,partition\n"
+     "editdist,TDG 4 033330,3,2,0 0 1 2\n"),
+]
+
+
+@pytest.mark.parametrize("argv, text, csv_out", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_golden_text_and_csv_output(argv, text, csv_out, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("TTLAB_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.tdg").write_text("TDG 4 033330\n")
+    assert invoke(capsys, *argv) == (0, text, "")
+    assert invoke(capsys, *argv, "--format", "csv") == (0, csv_out, "")
+
+
 def test_global_flags_accepted_before_subcommand(capsys):
     code, out_after, _ = invoke(capsys, "gen", "dtr", "--n", "3", "--r", "2",
                                 "--format", "csv")
