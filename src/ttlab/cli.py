@@ -24,17 +24,18 @@ counts travel as decimal strings so arbitrarily large values survive
 every JSON parser.  CSV mode emits a fixed header per subcommand and one
 data row.
 
-Each subcommand is declared once, as a `_COMMANDS` entry mapping
-(command, second word or None) to (help, options, compute).  Options
-are named from `_OPTIONS` and `_GROUPS` names the parameter that holds
-a second word (gen -> construction, count -> variant).  The parser is
-built by looping over the table, and run() derives the record's params
-from the options: a graph by the TDG string of the file's digraph, a
-weight by its token, every other option as parsed.  compute(args) runs
-only on a cache miss.  The argparse tree is built once per process, on
-the first run() call, and reused by every later call: building it takes
-about 30 times as long as parsing one command line.  Importing the
-module builds nothing.
+Each subcommand is declared once, as the `_COMMANDS` entry of its first
+word: its help, its text renderer, its CSV header, the parameter that
+holds its second word (gen -> construction, count -> variant, None for
+the rest) and, for each second word or None, (help, options, compute).
+Options are named from `_OPTIONS`.  The parser is built by one loop
+over the table; run() and render() read the command's entry.  run()
+derives the record's params from the options: a graph by the TDG
+string of the file's digraph, a weight by its token, every other option
+as parsed.  compute(args) runs only on a cache miss.  The argparse tree
+is built once per process, on the first run() call, and reused by every
+later call: building it takes about 30 times as long as parsing one
+command line.  Importing the module builds nothing.
 
 Exit codes: 0 success; 1 domain error (capacity refusal, malformed
 graph file, invalid parameter value); 2 usage error (unknown subcommand
@@ -180,13 +181,6 @@ _OPTIONS = {
     "mode": {"choices": MODES, "default": DIGRAPH},
 }
 
-# command -> (parameter naming the second word, help)
-_GROUPS = {
-    "gen": ("construction", "emit a named construction"),
-    "count": ("variant", "labelled counts"),
-}
-
-
 def _construction(g):
     return {"encoding": encode(g), "n": g.n, "f1": g.f1, "f2": g.f2}
 
@@ -200,6 +194,13 @@ def _check(args):
     return {"free": free, "witness": witness}
 
 
+def _check_text(result):
+    lines = [f"free: {'yes' if result['free'] else 'no'}"]
+    if result["witness"] is not None:
+        lines.append("witness: " + " ".join(str(v) for v in result["witness"]))
+    return "\n".join(lines)
+
+
 def _ex(args):
     res = extremal(args.n, BlowupSpec(args.k, args.t), args.weight, args.mode)
     exact = res.best.exact
@@ -211,6 +212,14 @@ def _ex(args):
         "witness": encode(res.witness),
         "explored": str(res.explored),
     }
+
+
+def _ex_text(result):
+    exact = result["value_exact"]
+    shown = exact if exact is not None else f"~{result['value_float']:.6f}"
+    return (f"value: {shown}  (f1={result['f1']}, f2={result['f2']})\n"
+            f"witness: {result['witness']}\n"
+            f"explored: {result['explored']}")
 
 
 def _ratio(args):
@@ -242,23 +251,69 @@ def _editdist(args):
     return {"distance": res.distance, "partition": list(res.partition.assign)}
 
 
+def _editdist_text(result):
+    return (f"distance: {result['distance']}\n"
+            "partition: " + " ".join(str(c) for c in result["partition"]))
+
+
+# command -> (help, text renderer of the result, csv header in column order,
+# parameter holding the second word or None, {second word or None: (help,
+# options, compute)}); a command without a second word has only the outer
+# help.  compute looks the library functions up as globals of this module
+# when it runs, so wrapping them here (perfbench's tracer does) reaches it.
 _COMMANDS = {
-    ("gen", "dtr"): ("bidirected Turan digraph", ("n", "r"),
-                     lambda args: _construction(make_dtr(args.n, args.r))),
-    ("gen", "blowup"): ("transitive-tournament blow-up", ("k", "t"),
-                        lambda args: _construction(blowup(args.k, args.t))),
-    ("check", None): ("freeness of a stored digraph", ("graph", "k", "t"), _check),
-    ("ex", None): ("exact weighted extremal value", ("n", "k", "t", "weight", "mode"), _ex),
-    ("count", "free"): (
-        "blow-up-free digraphs", ("n", "k", "t", "mode"),
-        lambda args: {"count": str(count_free(args.n, BlowupSpec(args.k, args.t), args.mode))}),
-    ("count", "partite"): (
-        "digraphs admitting a good r-partition", ("n", "r", "t", "mode"),
-        lambda args: {"count": str(count_partite(args.n, args.r, args.t, args.mode))}),
-    ("ratio", None): ("free vs partite census report", ("n", "r", "t", "mode"), _ratio),
-    ("mh", None): ("subgraph density m(H) and exponent", ("k", "t"), _mh),
-    ("editdist", None): ("arc edits to the bidirected Turan digraph", ("graph", "r"),
-                         _editdist),
+    "gen": (
+        "emit a named construction", "{encoding}".format_map,
+        ("command", "construction", "n", "r", "k", "t", "f1", "f2", "encoding"),
+        "construction", {
+            "dtr": ("bidirected Turan digraph", ("n", "r"),
+                    lambda args: _construction(make_dtr(args.n, args.r))),
+            "blowup": ("transitive-tournament blow-up", ("k", "t"),
+                       lambda args: _construction(blowup(args.k, args.t))),
+        }),
+    "check": (
+        "freeness of a stored digraph", _check_text,
+        ("command", "graph", "k", "t", "free", "witness"),
+        None, {None: (None, ("graph", "k", "t"), _check)}),
+    "ex": (
+        "exact weighted extremal value", _ex_text,
+        ("command", "n", "k", "t", "weight", "mode", "f1", "f2",
+         "value_exact", "value_float", "witness", "explored"),
+        None, {None: (None, ("n", "k", "t", "weight", "mode"), _ex)}),
+    "count": (
+        "labelled counts", "{count}".format_map,
+        ("command", "variant", "n", "k", "r", "t", "mode", "count"),
+        "variant", {
+            "free": ("blow-up-free digraphs", ("n", "k", "t", "mode"),
+                     lambda args: {"count": str(count_free(
+                         args.n, BlowupSpec(args.k, args.t), args.mode))}),
+            "partite": ("digraphs admitting a good r-partition", ("n", "r", "t", "mode"),
+                        lambda args: {"count": str(count_partite(
+                            args.n, args.r, args.t, args.mode))}),
+        }),
+    "ratio": (
+        "free vs partite census report",
+        ("free_count:    {free_count}\n"
+         "partite_count: {partite_count}\n"
+         "ratio:         {ratio}  (~{ratio_float:.6f})\n"
+         "lower_bound:   {lower_bound}\n"
+         "note: {lower_bound_note}").format_map,
+        ("command", "n", "r", "t", "mode", "free_count", "partite_count",
+         "ratio", "ratio_float", "lower_bound"),
+        None, {None: (None, ("n", "r", "t", "mode"), _ratio)}),
+    "mh": (
+        "subgraph density m(H) and exponent",
+        ("m: {m}\n"
+         "exponent: {exponent}  (~{exponent_float:.6f})\n"
+         "argmax_subgraph: {argmax_subgraph}\n"
+         "bound_shape: {bound_shape}").format_map,
+        ("command", "k", "t", "m", "exponent", "exponent_float",
+         "argmax_subgraph", "bound_shape"),
+        None, {None: (None, ("k", "t"), _mh)}),
+    "editdist": (
+        "arc edits to the bidirected Turan digraph", _editdist_text,
+        ("command", "graph", "r", "distance", "partition"),
+        None, {None: (None, ("graph", "r"), _editdist)}),
 }
 
 
@@ -286,38 +341,20 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    groups = {}
-    for (command, word), (help_text, options, _) in _COMMANDS.items():
-        if word is None:
-            p = sub.add_parser(command, parents=[common], help=help_text)
-        else:
-            if command not in groups:
-                dest, group_help = _GROUPS[command]
-                group = sub.add_parser(command, parents=[common], help=group_help)
-                groups[command] = group.add_subparsers(dest=dest, required=True)
-            p = groups[command].add_parser(word, parents=[common], help=help_text)
-        for name in options:
-            p.add_argument("--" + name, **_OPTIONS[name])
+    for command, (help_text, _, _, dest, words) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        if dest:
+            group = p.add_subparsers(dest=dest, required=True)
+        for word, (word_help, options, _) in words.items():
+            q = group.add_parser(word, parents=[common], help=word_help) if dest else p
+            for name in options:
+                q.add_argument("--" + name, **_OPTIONS[name])
     return parser
 
 
 # ======================================================================
 # rendering
 # ======================================================================
-
-_CSV_COLUMNS = {
-    "gen": ["command", "construction", "n", "r", "k", "t", "f1", "f2", "encoding"],
-    "check": ["command", "graph", "k", "t", "free", "witness"],
-    "ex": ["command", "n", "k", "t", "weight", "mode", "f1", "f2",
-           "value_exact", "value_float", "witness", "explored"],
-    "count": ["command", "variant", "n", "k", "r", "t", "mode", "count"],
-    "ratio": ["command", "n", "r", "t", "mode", "free_count", "partite_count",
-              "ratio", "ratio_float", "lower_bound"],
-    "mh": ["command", "k", "t", "m", "exponent", "exponent_float",
-           "argmax_subgraph", "bound_shape"],
-    "editdist": ["command", "graph", "r", "distance", "partition"],
-}
-
 
 def _csv_cell(value):
     if value is None:
@@ -329,65 +366,22 @@ def _csv_cell(value):
     return str(value)
 
 
-def _render_csv(record: dict) -> str:
-    command = record["command"]
-    merged = {"command": command, **record["params"], **record["result"]}
-    cols = _CSV_COLUMNS[command]
+def _render_csv(record: dict, header) -> str:
+    merged = {"command": record["command"], **record["params"], **record["result"]}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
-    writer.writerow([_csv_cell(merged.get(c)) for c in cols])
+    writer.writerow(header)
+    writer.writerow([_csv_cell(merged.get(c)) for c in header])
     return buf.getvalue().rstrip("\n")
-
-
-def _render_text(record: dict) -> str:
-    command, result = record["command"], record["result"]
-    if command == "gen":
-        return result["encoding"]
-    if command == "check":
-        lines = [f"free: {'yes' if result['free'] else 'no'}"]
-        if result["witness"] is not None:
-            lines.append("witness: " + " ".join(str(v) for v in result["witness"]))
-        return "\n".join(lines)
-    if command == "ex":
-        exact = result["value_exact"]
-        shown = exact if exact is not None else f"~{result['value_float']:.6f}"
-        return "\n".join([
-            f"value: {shown}  (f1={result['f1']}, f2={result['f2']})",
-            f"witness: {result['witness']}",
-            f"explored: {result['explored']}",
-        ])
-    if command == "count":
-        return result["count"]
-    if command == "ratio":
-        return "\n".join([
-            f"free_count:    {result['free_count']}",
-            f"partite_count: {result['partite_count']}",
-            f"ratio:         {result['ratio']}  (~{result['ratio_float']:.6f})",
-            f"lower_bound:   {result['lower_bound']}",
-            f"note: {result['lower_bound_note']}",
-        ])
-    if command == "mh":
-        return "\n".join([
-            f"m: {result['m']}",
-            f"exponent: {result['exponent']}  (~{result['exponent_float']:.6f})",
-            f"argmax_subgraph: {result['argmax_subgraph']}",
-            f"bound_shape: {result['bound_shape']}",
-        ])
-    if command == "editdist":
-        return "\n".join([
-            f"distance: {result['distance']}",
-            "partition: " + " ".join(str(c) for c in result["partition"]),
-        ])
-    raise AssertionError(f"no text renderer for {command}")
 
 
 def render(record: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(record, indent=2, sort_keys=True)
+    _, text, header, _, _ = _COMMANDS[record["command"]]
     if fmt == "csv":
-        return _render_csv(record)
-    return _render_text(record)
+        return _render_csv(record, header)
+    return text(record["result"])
 
 
 # ======================================================================
@@ -405,9 +399,9 @@ def run(argv) -> int:
     fmt = getattr(args, "format", None) or "text"
     cache_dir = getattr(args, "cache_dir", None) or os.environ.get(ENV_CACHE_DIR) or None
 
-    dest = _GROUPS[args.command][0] if args.command in _GROUPS else None
+    _, _, _, dest, words = _COMMANDS[args.command]
     word = getattr(args, dest) if dest else None
-    _, options, compute = _COMMANDS[args.command, word]
+    _, options, compute = words[word]
 
     try:
         # the params of the record and the key: a graph by its content, a

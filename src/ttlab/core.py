@@ -30,6 +30,7 @@ Conventions used throughout the package
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log2
@@ -108,7 +109,12 @@ class Digraph:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         if n > MAX_VERTICES:
             raise CapacityError(f"{n} vertices exceeds the capacity bound {MAX_VERTICES}")
-        states = tuple(states)
+        # operator.index keeps bools and numpy integers and refuses floats
+        # and strings, so digraphs that compare equal encode equally
+        try:
+            states = tuple(map(operator.index, states))
+        except TypeError as exc:
+            raise ValueError(f"pair states must be integers 0..3: {exc}") from None
         if len(states) != comb(n, 2):
             raise ValueError(f"need {comb(n, 2)} pair states for n={n}, got {len(states)}")
         out = [0] * n

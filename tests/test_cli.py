@@ -461,6 +461,7 @@ def test_python_dash_m_runs_the_command_line(capsys, monkeypatch):
 # ----------------------------------------------------------------------
 
 def test_docs_name_every_subcommand_and_readme_lines_parse():
+    table = {(command, word) for command, entry in cli._COMMANDS.items() for word in entry[4]}
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Command line", 1)[1].split("```", 2)[1]
     documented = set()
@@ -474,13 +475,13 @@ def test_docs_name_every_subcommand_and_readme_lines_parse():
         args = cli._build_parser().parse_args(argv)
         if "graph" in vars(args):
             assert args.graph == "h.tdg", line
-        dest = cli._GROUPS.get(args.command, (None,))[0]
+        dest = cli._COMMANDS[args.command][3]
         documented.add((args.command, getattr(args, dest) if dest else None))
-    assert documented == set(cli._COMMANDS)
+    assert documented == table
 
     listed = cli.__doc__.split("Subcommands\n-----------\n", 1)[1].split("\n\n", 1)[0]
     named = set()
     for line in listed.splitlines():
         words = line.split()
-        named.add((words[0], words[1] if words[0] in cli._GROUPS else None))
-    assert named == set(cli._COMMANDS)
+        named.add((words[0], words[1] if cli._COMMANDS[words[0]][3] else None))
+    assert named == table

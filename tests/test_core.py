@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ttlab import (
@@ -124,6 +125,16 @@ def test_equality_and_hash():
     assert g == h and hash(g) == hash(h)
     assert g != Digraph(3, (BWD, NO_ARC, NO_ARC))
     assert g != Digraph.from_arcs(4, [(0, 1)])
+
+
+def test_states_are_normalised_to_int():
+    # a digraph equal to Digraph(3, (0, 0, 1)) must encode as it does
+    assert encode(Digraph(3, (0, 0, True))) == "TDG 3 001"
+    with pytest.raises(ValueError):
+        Digraph(3, (0, 0, 1.0))
+    g = Digraph(3, np.array([0, 3, 1], np.uint8))
+    assert [type(s) for s in g.states] == [int] * 3
+    assert encode(g) == "TDG 3 031"
 
 
 def test_capacity_bound_is_sixteen():
