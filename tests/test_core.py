@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttlab import (
     BOTH,
@@ -112,6 +114,24 @@ def test_out_masks_agree_with_arcs():
             mask = g.out_masks[u]
             for v in range(g.n):
                 assert bool(mask >> v & 1) == g.has_arc(u, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 8), oriented=st.booleans(), data=st.data())
+def test_states_masks_and_arcs_agree(n, oriented, data):
+    choices = (NO_ARC, FWD, BWD) if oriented else (NO_ARC, FWD, BWD, BOTH)
+    npairs = n * (n - 1) // 2
+    states = data.draw(st.lists(st.sampled_from(choices), min_size=npairs, max_size=npairs))
+    g = Digraph(n, tuple(states))
+    assert Digraph.from_arcs(n, g.arcs()) == g
+    assert g.f1 == sum(s in (FWD, BWD) for s in states)
+    assert g.f2 == states.count(BOTH)
+    swap = {NO_ARC: NO_ARC, FWD: BWD, BWD: FWD, BOTH: BOTH}
+    for (i, j), s in zip(pair_list(n), states):
+        # a state is two arc bits: FWD for i -> j, BWD for j -> i
+        assert (g.out_masks[i] >> j & 1, g.out_masks[j] >> i & 1) == (s & FWD > 0, s & BWD > 0)
+        assert g.pair_state(i, j) == s
+        assert g.pair_state(j, i) == swap[s]
 
 
 def test_oriented_flag():

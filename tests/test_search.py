@@ -155,6 +155,20 @@ def test_extremal_t3_at_seven_and_eight_vertices():
     assert results[8].explored == results[7].explored + 1
 
 
+# weight -> (explored at n = 5, at n = 6) for digraph T_3^1: under every
+# weight the n = 6 step meets the averaging cap and ends at the root
+AVERAGING_CAP_EXITS = {"2": (458, 459), "log3": (1596, 1597), "7/4": (1594, 1595)}
+
+
+@pytest.mark.parametrize("w", sorted(AVERAGING_CAP_EXITS))
+def test_averaging_cap_ends_the_search_at_the_root_under_every_weight(w):
+    spec, a = BlowupSpec(3, 1), Weight.parse(w)
+    five, six = extremal(5, spec, a), extremal(6, spec, a)
+    assert (five.explored, six.explored) == AVERAGING_CAP_EXITS[w]
+    assert six.explored == five.explored + 1
+    assert six.witness == make_dtr(6, 2)
+
+
 @lru_cache(maxsize=None)
 def _ex_pair(n: int, k: int, t: int, token: str) -> tuple[int, int]:
     return extremal(n, BlowupSpec(k, t), Weight.parse(token)).best.pair
