@@ -43,7 +43,9 @@ from functools import cache
 
 from . import oracle
 from .core import (
+    BWD,
     DIGRAPH,
+    FWD,
     ORIENTED,
     BlowupSpec,
     CapacityError,
@@ -198,10 +200,10 @@ def count_partite(n: int, r: int, t: int, mode: str = DIGRAPH) -> int:
             return 0
         i, j = pairs[d]
         total = down(d + 1, alive)  # NO_ARC, last in the table: nothing can die
-        for fwd, bwd, _, _ in choices[:-1]:
-            if fwd:
+        for s in choices[:-1]:
+            if s & FWD:
                 out[i] |= 1 << j
-            if bwd:
+            if s & BWD:
                 out[j] |= 1 << i
             left = alive
             for cls, members in at_risk[d]:

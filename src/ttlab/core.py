@@ -6,14 +6,17 @@ Conventions used throughout the package
   raises CapacityError).
 * A digraph is stored as one state per unordered pair {i, j} with i < j,
   listed in lexicographic order (0,1), (0,2), ..., (0,n-1), (1,2), ...
-  The four states are
+  A state is two arc bits: the arc i -> j is present iff s & FWD, the arc
+  j -> i iff s & BWD.  The four states are
 
       NO_ARC = 0   no arc between i and j
       FWD    = 1   single arc i -> j
       BWD    = 2   single arc j -> i
-      BOTH   = 3   both arcs (a digon)
+      BOTH   = 3   both arcs (a digon), FWD | BWD
 
-  An *oriented* graph is a digraph with no BOTH pair.
+  An *oriented* graph is a digraph with no BOTH pair.  Every other module
+  reads arcs through these bits or through the masks a Digraph keeps; only
+  the oracle decodes states on its own, as the independent route.
 * f1(G) counts single-arc pairs, f2(G) counts digon pairs.  The weighted
   size of G under a weight a in (3/2, 2] is  a*f2 + f1.  Weighted sizes are
   compared exactly (no floating point): rational weights cross-multiply,
@@ -97,12 +100,13 @@ class Digraph:
     """Immutable digraph on vertices 0..n-1, one state per unordered pair.
 
     Treat instances as read-only: all updates go through `with_pair`,
-    which returns a new digraph.  Out-neighbourhoods are precomputed as
-    bitmasks (`out_masks[u]` has bit v set iff the arc u -> v is present)
-    because every search routine in the package consumes them.
+    which returns a new digraph.  Neighbourhoods are precomputed as
+    bitmasks, in one pass over the states, because every search routine
+    in the package consumes them: `out_masks[u]` has bit v set iff the
+    arc u -> v is present, and `in_masks[v]` has bit u set iff it is.
     """
 
-    __slots__ = ("n", "states", "out_masks", "f1", "f2", "_hash")
+    __slots__ = ("n", "states", "out_masks", "in_masks", "f1", "f2", "_hash")
 
     def __init__(self, n: int, states: tuple[int, ...] = ()):
         if n < 0:
@@ -118,27 +122,22 @@ class Digraph:
         if len(states) != comb(n, 2):
             raise ValueError(f"need {comb(n, 2)} pair states for n={n}, got {len(states)}")
         out = [0] * n
-        f1 = f2 = 0
+        inn = [0] * n
         for (i, j), s in zip(pair_list(n), states):
-            if s == NO_ARC:
-                continue
-            elif s == FWD:
-                out[i] |= 1 << j
-                f1 += 1
-            elif s == BWD:
-                out[j] |= 1 << i
-                f1 += 1
-            elif s == BOTH:
-                out[i] |= 1 << j
-                out[j] |= 1 << i
-                f2 += 1
-            else:
+            if s & ~BOTH:  # also catches negative states
                 raise ValueError(f"pair state must be 0..3, got {s!r}")
+            if s & FWD:
+                out[i] |= 1 << j
+                inn[j] |= 1 << i
+            if s & BWD:
+                out[j] |= 1 << i
+                inn[i] |= 1 << j
         self.n = n
         self.states = states
         self.out_masks = tuple(out)
-        self.f1 = f1
-        self.f2 = f2
+        self.in_masks = tuple(inn)
+        self.f2 = states.count(BOTH)
+        self.f1 = len(states) - states.count(NO_ARC) - self.f2
         self._hash = hash((n, states))
 
     # -- constructors --------------------------------------------------
@@ -154,12 +153,7 @@ class Digraph:
         for u, v in arcs:
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"bad arc ({u}, {v}) for n={n}")
-            i, j, add = (u, v, FWD) if u < v else (v, u, BWD)
-            k = pair_index(n, i, j)
-            if states[k] in (NO_ARC, add):
-                states[k] = add
-            else:
-                states[k] = BOTH
+            states[pair_index(n, u, v)] |= FWD if u < v else BWD
         return cls(n, tuple(states))
 
     # -- queries --------------------------------------------------------
@@ -388,10 +382,6 @@ class Weight:
             raise ValueError(f"cannot parse weight {token!r}: {exc}") from None
 
     # -- comparison of (f1, f2) pairs ------------------------------------
-
-    @property
-    def is_log3(self) -> bool:
-        return self.fraction is None
 
     def _key(self, f1: int, f2: int):
         if self.fraction is None:

@@ -19,9 +19,9 @@ sends an arc to itself, so S_j is disjoint from every earlier set).  One
 walk, `_chain`, answers both questions asked of it: "is there a chain?"
 (`chain_exists`) and "is there one placing u on an earlier level than
 v?" (`arc_completes_blowup`), where u and v are pending vertices that
-each level either hosts in turn or avoids.  The arc check reads the
-in-masks its caller keeps beside the out-masks (the free walk updates
-both per arc), so it builds none, and it roots the pending walk at
+each level either hosts in turn or avoids.  The arc check reads in-masks
+beside the out-masks (a Digraph's `in_masks`, or the ones the free walk
+updates per arc), so it builds none, and it roots the pending walk at
 in[v] | out[u], which holds every vertex of a copy placing u before v;
 t = 1 and k = 2 have tests of their own.  The walk stops at its last
 level: once `allowed` holds t vertices (one of them the pending vertex
@@ -54,27 +54,16 @@ class Embedding:
 # generic embedding search
 # ======================================================================
 
-def _in_masks(g: Digraph) -> list[int]:
-    masks = [0] * g.n
-    for u in range(g.n):
-        m = g.out_masks[u]
-        while m:
-            v = (m & -m).bit_length() - 1
-            masks[v] |= 1 << u
-            m &= m - 1
-    return masks
-
-
 def _embeddings(g: Digraph, h: Digraph):
     """Yield every embedding of H into G in lexicographic map order:
     H-vertices are assigned in index order, images tried in increasing
     order.  Each embedding is the list of images, reused between yields."""
     if h.n > g.n:
         return
-    g_out, g_in, h_in = g.out_masks, _in_masks(g), _in_masks(h)
+    g_out, g_in, h_out, h_in = g.out_masks, g.in_masks, h.out_masks, h.in_masks
     # candidate images of each H-vertex, filtered by out/in-degree bounds
     cand = [[w for w in range(g.n)
-             if g_out[w].bit_count() >= h.out_masks[u].bit_count()
+             if g_out[w].bit_count() >= h_out[u].bit_count()
              and g_in[w].bit_count() >= h_in[u].bit_count()]
             for u in range(h.n)]
     image = [-1] * h.n
@@ -83,9 +72,9 @@ def _embeddings(g: Digraph, h: Digraph):
         # images of the earlier H-vertices that u sends an arc to / gets one from
         need_out = need_in = 0
         for v in range(u):
-            if h.has_arc(u, v):
+            if h_out[u] >> v & 1:
                 need_out |= 1 << image[v]
-            if h.has_arc(v, u):
+            if h_in[u] >> v & 1:
                 need_in |= 1 << image[v]
         for w in cand[u]:
             if used >> w & 1 or g_out[w] & need_out != need_out or g_in[w] & need_in != need_in:

@@ -53,9 +53,12 @@ from dataclasses import dataclass
 
 from . import oracle
 from .core import (
+    BOTH,
+    BWD,
     DIGRAPH,
     FWD,
     MAX_VERTICES,
+    NO_ARC,
     ORIENTED,
     BlowupSpec,
     CapacityError,
@@ -68,7 +71,7 @@ from .core import (
     require_mode,
     turan_part_sizes,
 )
-from .embed import _in_masks, arc_completes_blowup, is_free
+from .embed import arc_completes_blowup, is_free
 
 EDIT_MAX_VERTICES = 12
 
@@ -91,12 +94,8 @@ class EditDistanceResult:
     partition: Partition
 
 
-#: the states a pair may take in each mode, densest first, as
-#: (arc i -> j, arc j -> i, single arcs added, digons added)
-PAIR_CHOICES = {
-    DIGRAPH: ((1, 1, 0, 1), (1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 0, 0)),  # BOTH, FWD, BWD, NO_ARC
-    ORIENTED: ((1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 0, 0)),  # FWD, BWD, NO_ARC
-}
+#: the states a pair may take in each mode, densest first
+PAIR_CHOICES = {DIGRAPH: (BOTH, FWD, BWD, NO_ARC), ORIENTED: (FWD, BWD, NO_ARC)}
 
 
 def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
@@ -130,8 +129,9 @@ def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
     npairs = len(pairs)
     # (f1, f2) granted to one undecided pair
     g1, g2 = (0, 1) if mode == DIGRAPH else (1, 0)
-    # per state: its arcs and how far it falls short of the granted one
-    steps = [(fwd, bwd, d1 - g1, d2 - g2) for fwd, bwd, d1, d2 in PAIR_CHOICES[mode]]
+    # per state: its arcs and how far its (f1, f2) falls short of the granted one
+    steps = [(s & FWD, s & BWD, (s in (FWD, BWD)) - g1, (s == BOTH) - g2)
+             for s in PAIR_CHOICES[mode]]
     out = [0] * n
     inn = [0] * n  # in-masks of the same digraph, for the arc check
     # granted (f1, f2) degree of each vertex, plus sub: the degree floor
@@ -249,18 +249,16 @@ def _extremal_step(n: int, spec: BlowupSpec, a: Weight, mode: str,
     # exact comparison keys of every reachable (f1, f2), f1 + f2 <= C(n, 2)
     keys = [[a._key(f1, f2) for f2 in range(npairs + 1 - f1)] for f1 in range(npairs + 1)]
     best = [keys[start.f1][start.f2], None]
-    sub_key = keys[sub[0]][sub[1]]
-    # e_a(B) >= n/(n-2) * ex_a(n-1), exactly: keys are linear in e_a for a
-    # rational weight and equal 2^e_a for log2(3)
-    if n > 2 and (best[0] ** (n - 2) >= sub_key ** n if a.is_log3
-                  else (n - 2) * best[0] >= n * sub_key):
+    # (n-2) * e_a(B) >= n * ex_a(n-1), exactly: e_a is linear in (f1, f2)
+    if n > 2 and a.compare(((n - 2) * start.f1, (n - 2) * start.f2),
+                           (n * sub[0], n * sub[1])) >= 0:
         return start, 1
     _, explored = _free_walk(n, spec, mode, keys, best, sub)
     out = best[1]
     if out is None:
         return start, explored
-    return Digraph(n, tuple((out[i] >> j & 1) | (out[j] >> i & 1) << 1
-                            for i, j in pair_list(n))), explored
+    return Digraph.from_arcs(n, ((u, v) for u in range(n) for v in range(n)
+                                 if out[u] >> v & 1)), explored
 
 
 def extremal_naive(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> ExtremalResult:
@@ -310,7 +308,7 @@ def edit_distance_to_dtr(g: Digraph, r: int) -> EditDistanceResult:
             f"edit distance enumerates partitions and is capped at {EDIT_MAX_VERTICES} vertices"
         )
     sizes = turan_part_sizes(n, r)
-    out, inn = g.out_masks, _in_masks(g)
+    out, inn = g.out_masks, g.in_masks
     cross = [2 * v - (out[v] & ((1 << v) - 1)).bit_count() - (inn[v] & ((1 << v) - 1)).bit_count()
              for v in range(n)]
     best: int | None = None

@@ -123,6 +123,8 @@ def test_states_masks_and_arcs_agree(n, oriented, data):
     npairs = n * (n - 1) // 2
     states = data.draw(st.lists(st.sampled_from(choices), min_size=npairs, max_size=npairs))
     g = Digraph(n, tuple(states))
+    assert list(g.in_masks) == [sum(1 << u for u in range(n) if g.out_masks[u] >> v & 1)
+                                for v in range(n)]
     assert Digraph.from_arcs(n, g.arcs()) == g
     assert g.f1 == sum(s in (FWD, BWD) for s in states)
     assert g.f2 == states.count(BOTH)

@@ -27,7 +27,7 @@ from ttlab import (
     is_free,
     partition_ok,
 )
-from ttlab.embed import _chain, _in_masks, arc_completes_blowup, chain_exists
+from ttlab.embed import _chain, arc_completes_blowup, chain_exists
 
 from test_core import random_digraph
 
@@ -262,7 +262,7 @@ def test_arc_completes_blowup_against_enumeration():
         if not g.has_arc(u, v):
             g = add_arc(g, u, v)
         k, t = rng.choice([(2, 1), (3, 1), (2, 2), (4, 1), (3, 2)])
-        got = arc_completes_blowup(g.out_masks, _in_masks(g), n, k, t, u, v)
+        got = arc_completes_blowup(g.out_masks, g.in_masks, n, k, t, u, v)
         assert got == brute_completes(g, k, t, u, v)
         cases += 1
     # t = 1 takes the region test: sparser hosts up to 7 vertices, both
@@ -278,7 +278,7 @@ def test_arc_completes_blowup_against_enumeration():
         if rng.random() < 0.9 and not g.has_arc(u, v):
             g = add_arc(g, u, v)
         k = rng.randint(2, 5)
-        got = arc_completes_blowup(g.out_masks, _in_masks(g), n, k, 1, u, v)
+        got = arc_completes_blowup(g.out_masks, g.in_masks, n, k, 1, u, v)
         assert got == brute_completes(g, k, 1, u, v), (g, k, u, v)
         seen.add((k, got))
     assert seen == {(k, b) for k in range(2, 6) for b in (False, True)}
@@ -286,7 +286,7 @@ def test_arc_completes_blowup_against_enumeration():
     # it must stay after v, so 4 (before u) cannot follow it
     g = Digraph.from_arcs(6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 0), (1, 3), (3, 1),
                               (2, 3), (4, 0), (4, 1), (2, 4), (3, 4), (0, 5), (1, 5), (2, 5)])
-    assert not arc_completes_blowup(g.out_masks, _in_masks(g), 6, 5, 1, 0, 1)
+    assert not arc_completes_blowup(g.out_masks, g.in_masks, 6, 5, 1, 0, 1)
     assert not brute_completes(g, 5, 1, 0, 1)
 
 
@@ -304,7 +304,7 @@ def test_arc_completes_blowup_k2_shortcut_against_enumeration():
         u, v = rng.sample(range(n), 2)
         if rng.random() < 0.9 and not g.has_arc(u, v):
             g = add_arc(g, u, v)
-        got = arc_completes_blowup(g.out_masks, _in_masks(g), n, 2, t, u, v)
+        got = arc_completes_blowup(g.out_masks, g.in_masks, n, 2, t, u, v)
         assert got == brute_completes(g, 2, t, u, v), (g, t, u, v)
         assert got == _chain(g.out_masks, (1 << n) - 1, 2, t, {}, (u, v))
         seen.add((t, got))
@@ -333,7 +333,7 @@ def test_arc_completes_blowup_root_cut_for_k3_and_more():
         n = rng.randint(6, 7)
         u, v = rng.sample(range(n), 2)
         g = dense_host(rng, n, u, v)
-        got = arc_completes_blowup(g.out_masks, _in_masks(g), n, 3, 2, u, v)
+        got = arc_completes_blowup(g.out_masks, g.in_masks, n, 3, 2, u, v)
         assert got == brute_completes(g, 3, 2, u, v), (g, u, v)
         assert got == _chain(g.out_masks, (1 << n) - 1, 3, 2, {}, (u, v))
         seen.add((n, got))
@@ -346,7 +346,7 @@ def test_arc_completes_blowup_root_cut_for_k3_and_more():
     for n in range(6, 8):
         u, v = rng.sample(range(n), 2)
         g = dense_host(rng, n, u, v)
-        assert not arc_completes_blowup(g.out_masks, _in_masks(g), n, 3, 3, u, v)
+        assert not arc_completes_blowup(g.out_masks, g.in_masks, n, 3, 3, u, v)
         assert not brute_completes(g, 3, 3, u, v)
     seen = {}
     for _ in range(60):
@@ -354,7 +354,7 @@ def test_arc_completes_blowup_root_cut_for_k3_and_more():
         digons = rng.choice((0.6, 0.75, 0.9))
         g = add_arc(Digraph(9, tuple(3 if rng.random() < digons else rng.randint(0, 2)
                                      for _ in range(36))), u, v)
-        got = arc_completes_blowup(g.out_masks, _in_masks(g), 9, 3, 3, u, v)
+        got = arc_completes_blowup(g.out_masks, g.in_masks, 9, 3, 3, u, v)
         assert got == _chain(g.out_masks, (1 << 9) - 1, 3, 3, {}, (u, v)), (g, u, v)
         seen.setdefault(got, (g, u, v))
     assert set(seen) == {False, True}
@@ -368,9 +368,9 @@ def test_arc_completes_blowup_invariant_under_relabelling(g, k, t, data):
     u, v = data.draw(st.permutations(range(g.n)))[:2]
     perm = data.draw(st.permutations(range(g.n)))
     relabelled = Digraph.from_arcs(g.n, [(perm[x], perm[y]) for x, y in g.arcs()])
-    assert arc_completes_blowup(relabelled.out_masks, _in_masks(relabelled), g.n, k, t,
+    assert arc_completes_blowup(relabelled.out_masks, relabelled.in_masks, g.n, k, t,
                                 perm[u], perm[v]) == \
-        arc_completes_blowup(g.out_masks, _in_masks(g), g.n, k, t, u, v)
+        arc_completes_blowup(g.out_masks, g.in_masks, g.n, k, t, u, v)
 
 
 def test_incremental_check_tracks_freeness_along_arc_insertions():
@@ -387,7 +387,7 @@ def test_incremental_check_tracks_freeness_along_arc_insertions():
         rng.shuffle(arcs)
         for (u, v) in arcs:
             nxt = add_arc(g, u, v)
-            completed = arc_completes_blowup(nxt.out_masks, _in_masks(nxt), n, k, t, u, v)
+            completed = arc_completes_blowup(nxt.out_masks, nxt.in_masks, n, k, t, u, v)
             assert completed == (not is_free(nxt, spec))
             if completed:
                 break
