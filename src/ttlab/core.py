@@ -166,6 +166,10 @@ class Digraph:
         return {FWD: BWD, BWD: FWD}.get(s, s)
 
     def has_arc(self, u: int, v: int) -> bool:
+        """Is the arc u -> v present?  ValueError unless u and v are
+        vertices of 0..n-1; has_arc(u, u) is False."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"need vertices in 0..{self.n - 1}, got ({u}, {v})")
         return bool(self.out_masks[u] >> v & 1)
 
     def arcs(self):
@@ -316,7 +320,13 @@ class Partition:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError(f"need r >= 1, got r={self.r}")
-        for v, c in enumerate(self.assign):
+        # a tuple of ints keeps the frozen class hashable and its masks sound
+        try:
+            assign = tuple(map(operator.index, self.assign))
+        except TypeError as exc:
+            raise ValueError(f"classes must be integers 0..{self.r - 1}: {exc}") from None
+        object.__setattr__(self, "assign", assign)
+        for v, c in enumerate(assign):
             if not 0 <= c < self.r:
                 raise ValueError(f"vertex {v} assigned to class {c}, outside 0..{self.r - 1}")
 

@@ -18,6 +18,7 @@ from ttlab import (
     NO_ARC,
     CapacityError,
     Digraph,
+    Partition,
     TdgParseError,
     Weight,
     WeightedValue,
@@ -116,6 +117,14 @@ def test_out_masks_agree_with_arcs():
                 assert bool(mask >> v & 1) == g.has_arc(u, v)
 
 
+def test_has_arc_refuses_vertices_out_of_range():
+    g = Digraph.from_arcs(3, [(0, 1)])
+    for u, v in ((0, 5), (0, -1), (5, 0), (-1, 0), (0, 3)):
+        with pytest.raises(ValueError):
+            g.has_arc(u, v)
+    assert not g.has_arc(1, 1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(0, 8), oriented=st.booleans(), data=st.data())
 def test_states_masks_and_arcs_agree(n, oriented, data):
@@ -168,6 +177,16 @@ def test_capacity_bound_is_sixteen():
 # ----------------------------------------------------------------------
 # constructions
 # ----------------------------------------------------------------------
+
+def test_partition_classes_are_normalised_to_int():
+    p = Partition(2, [0, 1])
+    assert p == Partition(2, (0, 1)) and hash(p) == hash(Partition(2, (0, 1)))
+    q = Partition(2, np.array([1, 0, 1]))
+    assert q.assign == (1, 0, 1) and [type(c) for c in q.assign] == [int] * 3
+    for bad in ((0, 1.0), (0, "1"), (0, None), 5):
+        with pytest.raises(ValueError):
+            Partition(2, bad)
+
 
 def test_blowup_arc_structure():
     g = blowup(3, 2)
