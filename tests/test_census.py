@@ -22,7 +22,6 @@ from ttlab import (
     count_free,
     count_free_naive,
     count_partite,
-    is_free,
     lower_bound_partite,
     make_dtr,
     ratio_report,
@@ -186,19 +185,6 @@ def test_admits_partition_invariant_under_relabelling(g, r, t, data):
 def test_count_partite_monotone_in_r(n, r, t, mode):
     # an r-partition is an (r+1)-partition with one class empty
     assert count_partite(n, r, t, mode) <= count_partite(n, r + 1, t, mode)
-
-
-def test_partite_graphs_are_free_for_single_vertex_levels():
-    # a good r-partition for t = 1 forces T_{r+1}^1-freeness, so the
-    # partite family is a subfamily of the free one
-    for mode in (DIGRAPH, ORIENTED):
-        for n in range(1, 5):
-            for r in (2, 3):
-                spec = BlowupSpec(r + 1, 1)
-                for g in iter_digraphs(n, mode):
-                    if admits_partition(g, r, 1):
-                        assert is_free(g, spec)
-                assert count_partite(n, r, 1, mode) <= count_free(n, spec, mode)
 
 
 def test_lower_bound_partite_frozen_values():
