@@ -118,7 +118,7 @@ def graph_from_index(n: int, mode: str, index: int) -> Digraph:
 # ======================================================================
 
 def _out_columns(states: np.ndarray, n: int) -> list[np.ndarray]:
-    """Out-neighbourhood bitmask column per vertex (uint8, needs n <= 6)."""
+    """Out-neighbourhood bitmask column per vertex (uint8, so n <= 8)."""
     rows = states.shape[0]
     outs = [np.zeros(rows, np.uint8) for _ in range(n)]
     for p, (i, j) in enumerate(pair_list(n)):
