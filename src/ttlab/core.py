@@ -318,15 +318,15 @@ class Partition:
     assign: tuple[int, ...]
 
     def __post_init__(self):
+        # ints throughout keep the frozen class hashable and its masks sound
+        try:
+            object.__setattr__(self, "r", operator.index(self.r))
+            object.__setattr__(self, "assign", tuple(map(operator.index, self.assign)))
+        except TypeError as exc:
+            raise ValueError(f"r and the classes must be integers: {exc}") from None
         if self.r < 1:
             raise ValueError(f"need r >= 1, got r={self.r}")
-        # a tuple of ints keeps the frozen class hashable and its masks sound
-        try:
-            assign = tuple(map(operator.index, self.assign))
-        except TypeError as exc:
-            raise ValueError(f"classes must be integers 0..{self.r - 1}: {exc}") from None
-        object.__setattr__(self, "assign", assign)
-        for v, c in enumerate(assign):
+        for v, c in enumerate(self.assign):
             if not 0 <= c < self.r:
                 raise ValueError(f"vertex {v} assigned to class {c}, outside 0..{self.r - 1}")
 

@@ -186,6 +186,9 @@ def test_partition_classes_are_normalised_to_int():
     for bad in ((0, 1.0), (0, "1"), (0, None), 5):
         with pytest.raises(ValueError):
             Partition(2, bad)
+    assert type(Partition(np.int64(2), (0, 1)).r) is int
+    with pytest.raises(ValueError):
+        Partition(2.5, (0, 1, 2))
 
 
 def test_blowup_arc_structure():
