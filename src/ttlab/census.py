@@ -76,9 +76,10 @@ def count_free(n: int, spec: BlowupSpec, mode: str = DIGRAPH) -> int:
 
     The count is the leaf count of `search._free_walk` with no bound: one
     arc check per new arc, read off the out- and in-masks the walk keeps.
-    Measured on a 2-core Xeon VM (medians of three runs): T_2^2 at
-    digraph n = 5 takes about 1.0 s, T_3^1 at oriented n = 6 about 1.5 s,
-    and T_3^2 at oriented n = 6 (14,346,477 free leaves) 25 s in one run.
+    Measured on a shared 2-core Xeon VM (medians of eleven runs, which
+    spread by up to 2x): T_2^2 at digraph n = 5 takes about 0.6 s, T_3^1
+    at oriented n = 6 about 1.05 s, and T_3^2 at oriented n = 6
+    (14,346,477 free leaves) 15 s in one run.
     """
     _check_census_capacity(n, mode, "count_free")
     total = len(PAIR_CHOICES[mode]) ** len(pair_list(n))

@@ -60,6 +60,18 @@ class TdgParseError(ValueError):
         self.position = position
 
 
+def _ints(values, what: str) -> tuple[int, ...]:
+    """values as ints; ValueError naming `what` unless each is an integer.
+
+    operator.index keeps bools and numpy integers and refuses floats and
+    strings, so arguments that compare equal give digraphs, indices and
+    encodings that are equal too."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ValueError(f"{what} must be integers: {exc}") from None
+
+
 def require_mode(mode: str) -> str:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -84,6 +96,7 @@ def _pair_index(n: int) -> dict[tuple[int, int], int]:
 def pair_index(n: int, i: int, j: int) -> int:
     """Index of the unordered pair {i, j} in the canonical order;
     ValueError unless i and j are distinct vertices of 0..n-1."""
+    n, i, j = _ints((n, i, j), "n and the vertices")
     if i > j:
         i, j = j, i
     index = _pair_index(n).get((i, j))
@@ -109,16 +122,12 @@ class Digraph:
     __slots__ = ("n", "states", "out_masks", "in_masks", "f1", "f2", "_hash")
 
     def __init__(self, n: int, states: tuple[int, ...] = ()):
+        (n,) = _ints((n,), "the vertex count")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         if n > MAX_VERTICES:
             raise CapacityError(f"{n} vertices exceeds the capacity bound {MAX_VERTICES}")
-        # operator.index keeps bools and numpy integers and refuses floats
-        # and strings, so digraphs that compare equal encode equally
-        try:
-            states = tuple(map(operator.index, states))
-        except TypeError as exc:
-            raise ValueError(f"pair states must be integers 0..3: {exc}") from None
+        states = _ints(states, "pair states")
         if len(states) != comb(n, 2):
             raise ValueError(f"need {comb(n, 2)} pair states for n={n}, got {len(states)}")
         out = [0] * n
@@ -160,14 +169,13 @@ class Digraph:
 
     def pair_state(self, i: int, j: int) -> int:
         """State of pair {i, j}; swapping i and j swaps FWD and BWD."""
-        if i < j:
-            return self.states[pair_index(self.n, i, j)]
-        s = self.states[pair_index(self.n, j, i)]
-        return {FWD: BWD, BWD: FWD}.get(s, s)
+        s = self.states[pair_index(self.n, i, j)]
+        return s if i < j else {FWD: BWD, BWD: FWD}.get(s, s)
 
     def has_arc(self, u: int, v: int) -> bool:
         """Is the arc u -> v present?  ValueError unless u and v are
         vertices of 0..n-1; has_arc(u, u) is False."""
+        u, v = _ints((u, v), "vertices")
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"need vertices in 0..{self.n - 1}, got ({u}, {v})")
         return bool(self.out_masks[u] >> v & 1)
@@ -319,11 +327,9 @@ class Partition:
 
     def __post_init__(self):
         # ints throughout keep the frozen class hashable and its masks sound
-        try:
-            object.__setattr__(self, "r", operator.index(self.r))
-            object.__setattr__(self, "assign", tuple(map(operator.index, self.assign)))
-        except TypeError as exc:
-            raise ValueError(f"r and the classes must be integers: {exc}") from None
+        (r,) = _ints((self.r,), "r")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "assign", _ints(self.assign, "the classes"))
         if self.r < 1:
             raise ValueError(f"need r >= 1, got r={self.r}")
         for v, c in enumerate(self.assign):

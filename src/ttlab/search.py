@@ -15,9 +15,9 @@ uses:
   the out- and in-masks the walk keeps;
 * extremal adds a bound: a node is pruned when even granting every
   undecided pair the maximum state weight cannot beat the incumbent
-  (compared exactly on the integer keys of `Weight`, tabulated once per
-  call, never in floating point); states later in the order can only do
-  worse, so the first failing state ends the level;
+  (compared exactly on `Weight`'s integer keys, tabulated per cell
+  f2 * w + f1 of (f1, f2), never in floating point); states later in
+  the order can only do worse, so the first failing state ends the level;
 * extremal also cuts with ex_a(n-1), computed first by the same search
   on n - 1 vertices (and so on down, each size once per call).  G - v is
   free whenever G is, and each pair survives n - 2 of the n deletions,
@@ -71,7 +71,7 @@ from .core import (
     require_mode,
     turan_part_sizes,
 )
-from .embed import arc_completes_blowup, is_free
+from .embed import arc_completes_blowup
 
 EDIT_MAX_VERTICES = 12
 
@@ -99,7 +99,7 @@ PAIR_CHOICES = {DIGRAPH: (BOTH, FWD, BWD, NO_ARC), ORIENTED: (FWD, BWD, NO_ARC)}
 
 
 def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
-               sub: tuple[int, int] = (0, 0)) -> tuple[int, int]:
+               sub: int = 0) -> tuple[int, int]:
     """Depth-first walk over the spec-free digraphs on n vertices.
 
     Pairs are decided in `pair_list` order, each trying the states of
@@ -114,53 +114,49 @@ def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
     arcs in out[i], out[j], inn[i] and inn[j] only, and restores those
     four entries when it returns, so no check rebuilds an in-mask.
 
-    Given keys (keys[f1][f2] = `Weight._key`, for f1 + f2 <= C(n, 2)), the
-    walk is the `extremal` branch and bound.  best is the incumbent cell
-    [key, out-masks or None], and sub = (f1, f2) of ex_a(n - 1).
-    Every undecided pair is granted the densest state (a digon, or a
-    single arc in oriented mode).  A child is cut, before its arc check,
-    when the granted total, or the granted degree of i or of j plus sub,
-    has a key <= best[0]; states come densest first, so the first cut
-    ends the level.  Each leaf reached strictly beats the incumbent and
-    is written into best.
+    Given keys, the walk is the `extremal` branch and bound.  It carries
+    each (f1, f2) as one cell f2 * w + f1, w = C(n, 2) + 1; cells add as
+    the pairs do, and keys[c] is `Weight._key` of the pair in cell c.
+    best is the incumbent [key, out-masks or None], and sub is the cell
+    of ex_a(n - 1).  Every undecided pair is granted the densest state (a
+    digon, or a single arc in oriented mode).  A child is cut, before its
+    arc check, when the granted total, or the granted degree of i or of j
+    plus sub, has a key <= best[0]; states come densest first, so the
+    first cut ends the level.  Each leaf reached strictly beats the
+    incumbent and is written into best.
     """
     k, t = spec.k, spec.t
     pairs = pair_list(n)
     npairs = len(pairs)
-    # (f1, f2) granted to one undecided pair
-    g1, g2 = (0, 1) if mode == DIGRAPH else (1, 0)
-    # per state: its arcs and how far its (f1, f2) falls short of the granted one
-    steps = [(s & FWD, s & BWD, (s in (FWD, BWD)) - g1, (s == BOTH) - g2)
+    w = npairs + 1
+    # the cell granted to one undecided pair
+    g = w if mode == DIGRAPH else 1
+    # per state: its arcs and how far its cell falls short of the granted one
+    steps = [(s & FWD, s & BWD, (s == BOTH) * w + (s in (FWD, BWD)) - g)
              for s in PAIR_CHOICES[mode]]
     out = [0] * n
     inn = [0] * n  # in-masks of the same digraph, for the arc check
-    # granted (f1, f2) degree of each vertex, plus sub: the degree floor
-    # compares keys[deg1[v]][deg2[v]] with the incumbent, and sub on this
-    # side keeps every index within f1 + f2 <= C(n, 2)
-    deg1 = [sub[0] + g1 * (n - 1)] * n
-    deg2 = [sub[1] + g2 * (n - 1)] * n
+    # granted degree cell of each vertex plus sub: the degree floor
+    deg = [sub + g * (n - 1)] * n
     leaves = 0
     explored = 1  # the root
 
-    def down(d: int, f1: int, f2: int):
-        # f1, f2: the granted totals, equal to the true ones at a leaf
+    def down(d: int, c: int):
+        # c: the granted total's cell, equal to the true one at a leaf
         nonlocal leaves, explored
         if d == npairs:
             leaves += 1
             if best is not None:
-                best[:] = keys[f1][f2], out.copy()
+                best[:] = keys[c], out.copy()
             return
         i, j = pairs[d]
         oi, oj, ii, ij = out[i], out[j], inn[i], inn[j]
         if keys is not None:
-            ai, bi, aj, bj = deg1[i], deg2[i], deg1[j], deg2[j]
-        for fwd, bwd, e1, e2 in steps:
-            nf1 = f1 + e1
-            nf2 = f2 + e2
+            di, dj = deg[i], deg[j]
+        for fwd, bwd, e in steps:
             if keys is not None:
                 top = best[0]
-                if (keys[nf1][nf2] <= top or keys[ai + e1][bi + e2] <= top
-                        or keys[aj + e1][bj + e2] <= top):
+                if keys[c + e] <= top or keys[di + e] <= top or keys[dj + e] <= top:
                     break
             if fwd:
                 out[i] = oi | 1 << j
@@ -172,19 +168,17 @@ def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
                     or bwd and arc_completes_blowup(out, inn, n, k, t, j, i)):
                 explored += 1
                 if keys is not None:
-                    deg1[i] = ai + e1
-                    deg2[i] = bi + e2
-                    deg1[j] = aj + e1
-                    deg2[j] = bj + e2
-                down(d + 1, nf1, nf2)
+                    deg[i] = di + e
+                    deg[j] = dj + e
+                down(d + 1, c + e)
             out[i] = oi
             out[j] = oj
             inn[i] = ii
             inn[j] = ij
         if keys is not None:
-            deg1[i], deg2[i], deg1[j], deg2[j] = ai, bi, aj, bj
+            deg[i], deg[j] = di, dj
 
-    down(0, g1 * npairs, g2 * npairs)
+    down(0, g * npairs)
     return leaves, explored
 
 
@@ -196,12 +190,13 @@ def extremal(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> Extrem
     ex_a(m - 1) from the one before it: it ends at the root when the
     incumbent meets the averaging cap m/(m - 2) * ex_a(m - 1), and the
     walk applies the degree floor.  `explored` counts every node of the
-    whole chain.  Measured on a 2-core Xeon VM at a = 2, digraph mode
-    (medians of three runs): T_3^1 takes about 0.002 s at n = 6 (459
-    nodes), 0.4 s at n = 7 (128,409 nodes) and 0.45 s at n = 8, which
-    ends at the root; T_4^1 at n = 8 takes about 4.6 s (913,671 nodes),
-    T_2^2 at n = 6 about 2.5 s (467,823 nodes) and T_3^2 at n = 7 about
-    2.2 s (202,641 nodes).  The hard capacity bound is 16 vertices.
+    whole chain.  Measured on a shared 2-core Xeon VM at a = 2, digraph
+    mode (medians of six runs, which spread by up to 40%): T_3^1 takes
+    about 0.002 s at n = 6 (459 nodes), 0.3 s at n = 7 (128,409 nodes)
+    and 0.3 s at n = 8, which ends at the root; T_4^1 at n = 8 takes
+    about 3.9 s (913,671 nodes), T_2^2 at n = 6 about 1.7 s (467,823
+    nodes) and T_3^2 at n = 7 about 2.2 s (202,641 nodes).  The hard
+    capacity bound is 16 vertices.
     Forbidding blowup(1, t) is refused: every digraph on >= t vertices
     contains it, so no maximum exists.
     """
@@ -238,22 +233,22 @@ def _extremal_step(n: int, spec: BlowupSpec, a: Weight, mode: str,
     beating the incumbent B has deg_a(v) > e_a(B) - ex_a(n - 1) at every
     vertex v, the floor `_free_walk` applies.
     """
-    npairs = n * (n - 1) // 2
+    w = n * (n - 1) // 2 + 1
+    # free: a copy's k levels are pairwise joined by arcs, and no arc lies
+    # inside one of the k - 1 parts
     start = make_dtr(n, spec.k - 1)
     if mode != DIGRAPH:
         # the same partition with every cross arc pointing forward
         start = Digraph(n, tuple(s & FWD for s in start.states))
-    if not is_free(start, spec):  # cannot happen; guard the incumbent anyway
-        start = Digraph.empty(n)
-
-    # exact comparison keys of every reachable (f1, f2), f1 + f2 <= C(n, 2)
-    keys = [[a._key(f1, f2) for f2 in range(npairs + 1 - f1)] for f1 in range(npairs + 1)]
-    best = [keys[start.f1][start.f2], None]
     # (n-2) * e_a(B) >= n * ex_a(n-1), exactly: e_a is linear in (f1, f2)
     if n > 2 and a.compare(((n - 2) * start.f1, (n - 2) * start.f2),
                            (n * sub[0], n * sub[1])) >= 0:
         return start, 1
-    _, explored = _free_walk(n, spec, mode, keys, best, sub)
+
+    # exact comparison keys of every cell f2 * w + f1, f1, f2 <= C(n, 2)
+    keys = [a._key(c % w, c // w) for c in range(w * w)]
+    best = [keys[start.f2 * w + start.f1], None]
+    _, explored = _free_walk(n, spec, mode, keys, best, sub[1] * w + sub[0])
     out = best[1]
     if out is None:
         return start, explored

@@ -16,6 +16,7 @@ from time import perf_counter
 
 from ttlab import (
     DIGRAPH,
+    FWD,
     ORIENTED,
     BlowupSpec,
     Digraph,
@@ -75,16 +76,21 @@ def test_criterion_1_construction_identities():
 
 
 def test_criterion_2_construction_freeness_is_sharp():
+    # both are the incumbents `extremal` starts from: make_dtr(n, r), and in
+    # oriented mode the same partition with every cross arc pointing forward
+    def starts(n, r):
+        g = make_dtr(n, r)
+        return g, Digraph(n, tuple(s & FWD for s in g.states))
+
     start = perf_counter()
     ok = True
-    for r in (2, 3):
-        for t in (1, 2):
+    for r in range(1, 5):
+        for t in (1, 2, 3):
             for n in range(11):
-                ok &= is_free(make_dtr(n, r), BlowupSpec(r + 1, t))
-            witness = contains(make_dtr(r * t, r), blowup(r, t))
-            ok &= witness is not None
+                ok &= all(is_free(g, BlowupSpec(r + 1, t)) for g in starts(n, r))
+            ok &= all(contains(g, blowup(r, t)) is not None for g in starts(r * t, r))
     record(2, ok, 30.0, perf_counter() - start,
-           "construction avoids T_{r+1}^t yet holds T_r^t, r in {2,3}, t in {1,2}, n<=10")
+           "both extremal starts avoid T_{r+1}^t yet hold T_r^t, r<=4, t<=3, n<=10")
 
 
 def test_criterion_3_solver_matches_enumeration_matrix():

@@ -16,6 +16,7 @@ from ttlab import (
     FWD,
     BWD,
     NO_ARC,
+    BlowupSpec,
     CapacityError,
     Digraph,
     Partition,
@@ -25,6 +26,7 @@ from ttlab import (
     blowup,
     decode,
     encode,
+    extremal,
     make_dtr,
     pair_index,
     pair_list,
@@ -166,6 +168,28 @@ def test_states_are_normalised_to_int():
     g = Digraph(3, np.array([0, 3, 1], np.uint8))
     assert [type(s) for s in g.states] == [int] * 3
     assert encode(g) == "TDG 3 031"
+
+
+def test_vertex_count_and_vertices_are_normalised_to_int():
+    # True is the vertex count 1, so the digraph encodes as one that decodes
+    g = Digraph(True, ())
+    assert type(g.n) is int and encode(g) == "TDG 1" and decode("TDG 1") == g
+    res = extremal(True, BlowupSpec(2, 1), Weight.rational(2))
+    assert encode(res.witness) == "TDG 1"
+    assert type(Digraph(np.int64(3), (0, 0, 1)).n) is int
+    with pytest.raises(ValueError):
+        Digraph(2.0, (1,))
+    g = Digraph.from_arcs(3, [(0, 1)])
+    assert g.has_arc(np.int64(0), True) and g.pair_state(np.int64(0), 1) == FWD
+    for bad in ((0.0, 1), (0, 1.0), ("0", 1), (None, 1)):
+        with pytest.raises(ValueError):
+            g.has_arc(*bad)
+        with pytest.raises(ValueError):
+            g.pair_state(*bad)
+        with pytest.raises(ValueError):
+            pair_index(3, *bad)
+    with pytest.raises(ValueError):
+        pair_index(3.0, 0, 1)
 
 
 def test_capacity_bound_is_sixteen():
