@@ -21,7 +21,14 @@ walk keeps its own loop over the same PAIR_CHOICES table: it checks no
 freeness and carries the partition bitset with cuts of its own.  Two
 cuts follow: a subtree with no surviving partition is worth 0, and once
 a surviving partition has no at-risk pair left below the current depth,
-every completion admits it and the subtree counts in full.  The
+every completion admits it and the subtree counts in full.  While every
+decided pair is BOTH or NO_ARC, the BWD child is the mirror image of the
+FWD child: arc reversal fixes the decided pairs and keeps each class
+free of T_2^t, so it maps the FWD child's digraphs, and the partitions
+each admits, onto the BWD child's.  The walk counts the FWD child twice
+and never enters the BWD one.  (The vertex swap that `_free_walk` also
+uses is left out here: it relabels the partitions, so the BWD child's
+surviving set would differ.)  The
 per-graph test `admits_partition` decides the same property from
 scratch (a memoised cover search over good vertex subsets) and serves
 as its independent check.
@@ -43,6 +50,7 @@ from functools import cache
 
 from . import oracle
 from .core import (
+    BOTH,
     BWD,
     DIGRAPH,
     FWD,
@@ -51,6 +59,7 @@ from .core import (
     CapacityError,
     Digraph,
     Weight,
+    _ints,
     pair_list,
     require_mode,
     turan_edges,
@@ -59,8 +68,10 @@ from .embed import chain_exists
 from .search import PAIR_CHOICES, _free_walk, extremal
 
 
-def _check_census_capacity(n: int, mode: str, what: str):
+def _check_census_capacity(n: int, mode: str, what: str) -> int:
+    """n as an int, once the mode is known and n is within the sweep bound."""
     require_mode(mode)
+    (n,) = _ints((n,), "n")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     bound = oracle.SWEEP_BOUND[mode]
@@ -69,6 +80,7 @@ def _check_census_capacity(n: int, mode: str, what: str):
             f"{what} enumerates all labelled digraphs and is capped at "
             f"n = {bound} in {mode} mode (got n = {n})"
         )
+    return n
 
 
 def count_free(n: int, spec: BlowupSpec, mode: str = DIGRAPH) -> int:
@@ -76,12 +88,12 @@ def count_free(n: int, spec: BlowupSpec, mode: str = DIGRAPH) -> int:
 
     The count is the leaf count of `search._free_walk` with no bound: one
     arc check per new arc, read off the out- and in-masks the walk keeps.
-    Measured on a shared 2-core Xeon VM (medians of eleven runs, which
-    spread by up to 2x): T_2^2 at digraph n = 5 takes about 0.6 s, T_3^1
-    at oriented n = 6 about 1.05 s, and T_3^2 at oriented n = 6
-    (14,346,477 free leaves) 15 s in one run.
+    Measured on a shared 2-core Xeon VM (medians of six runs, which
+    spread by up to 40%): T_2^2 at digraph n = 5 takes about 0.33 s,
+    T_3^1 at oriented n = 6 about 0.5 s, and T_3^2 at oriented n = 6
+    (14,346,477 free leaves) 12.5 s in one run.
     """
-    _check_census_capacity(n, mode, "count_free")
+    n = _check_census_capacity(n, mode, "count_free")
     total = len(PAIR_CHOICES[mode]) ** len(pair_list(n))
     if spec.k == 1:
         # no arcs needed: the pattern sits in any digraph with >= t vertices
@@ -129,6 +141,7 @@ def _admits(out_masks, n: int, r: int, t: int) -> bool:
 def admits_partition(g: Digraph, r: int, t: int) -> bool:
     """Can V(G) be split into at most r classes, each inducing a
     blowup(2, t)-free subdigraph?  (Empty classes are fine.)"""
+    r, t = _ints((r, t), "r and t")
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     BlowupSpec(2, t)  # validate t
@@ -161,7 +174,8 @@ def _partitions(n: int, r: int) -> list[tuple[int, ...]]:
 def count_partite(n: int, r: int, t: int, mode: str = DIGRAPH) -> int:
     """Number of labelled digraphs on n vertices admitting an r-partition
     with every class blowup(2, t)-free."""
-    _check_census_capacity(n, mode, "count_partite")
+    n = _check_census_capacity(n, mode, "count_partite")
+    r, t = _ints((r, t), "r and t")
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     BlowupSpec(2, t)  # validate t
@@ -194,14 +208,18 @@ def count_partite(n: int, r: int, t: int, mode: str = DIGRAPH) -> int:
     out = [0] * n
     width = len(choices)
 
-    def down(d: int, alive: int) -> int:
+    def down(d: int, alive: int, mirror: bool) -> int:
+        # mirror: every decided pair is BOTH or NO_ARC
         if alive & safe[d]:
             return width ** (npairs - d)
         if not alive:
             return 0
         i, j = pairs[d]
-        total = down(d + 1, alive)  # NO_ARC, last in the table: nothing can die
+        total = down(d + 1, alive, mirror)  # NO_ARC, last in the table: nothing can die
         for s in choices[:-1]:
+            if s == BWD and mirror:
+                total += part  # the FWD child's count, by arc reversal
+                continue
             if s & FWD:
                 out[i] |= 1 << j
             if s & BWD:
@@ -211,12 +229,13 @@ def count_partite(n: int, r: int, t: int, mode: str = DIGRAPH) -> int:
                 # for t = 1 the new arc is itself a copy of blowup(2, 1)
                 if left & members and (t == 1 or chain_exists(out, cls, 2, t)):
                     left &= ~members
-            total += down(d + 1, left)
+            part = down(d + 1, left, mirror and s == BOTH)
+            total += part
             out[i] &= ~(1 << j)
             out[j] &= ~(1 << i)
         return total
 
-    return down(0, everything)
+    return down(0, everything, True)
 
 
 def lower_bound_partite(n: int, r: int, t: int) -> int:

@@ -249,6 +249,10 @@ class BlowupSpec:
     t: int
 
     def __post_init__(self):
+        # ints, so specs that compare equal print and hash alike
+        k, t = _ints((self.k, self.t), "k and t")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "t", t)
         if self.k < 1 or self.t < 1:
             raise ValueError(f"need k >= 1 and t >= 1, got k={self.k}, t={self.t}")
 
@@ -282,6 +286,7 @@ def blowup(k: int, t: int) -> Digraph:
 
 def turan_part_sizes(n: int, r: int) -> list[int]:
     """Balanced part sizes for an r-partition of n vertices, larger first."""
+    n, r = _ints((n, r), "n and r")
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if n < 0:
@@ -292,6 +297,7 @@ def turan_part_sizes(n: int, r: int) -> list[int]:
 
 def turan_edges(n: int, r: int) -> int:
     """Edge count t_r(n) of the balanced complete r-partite graph."""
+    n, r = _ints((n, r), "n and r")
     return comb(n, 2) - sum(comb(s, 2) for s in turan_part_sizes(n, r))
 
 
@@ -299,6 +305,7 @@ def make_dtr(n: int, r: int) -> Digraph:
     """Bidirected Turan digraph: balanced complete r-partite, every edge a
     digon.  Parts are consecutive vertex blocks, larger parts first, so
     the construction (and its encoding) is canonical."""
+    n, r = _ints((n, r), "n and r")
     part = turan_partition(n, r).assign
     if n > MAX_VERTICES:
         raise CapacityError(f"{n} vertices exceeds the capacity bound {MAX_VERTICES}")

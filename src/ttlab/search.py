@@ -30,14 +30,25 @@ uses:
 * the incumbent starts at the bidirected Turan digraph make_dtr(n, k-1)
   (oriented mode: the same partition with all cross arcs pointing
   forward), so the search begins from the construction conjectured to
-  be extremal and only ever improves on it.
+  be extremal and only ever improves on it;
+* the walk enters each mirror-image subtree once.  Reversing every arc,
+  or relabelling the vertices, maps a copy of the blow-up to a copy and
+  keeps f1 and f2.  At pair (i, j) the BWD child is therefore the image
+  of the FWD child whenever such a map fixes the decided pairs: reversal
+  when every decided pair is BOTH or NO_ARC, or the swap (i i+1) when
+  j = i + 1 and i and i + 1 have the same states towards every earlier
+  vertex (the swap then permutes the undecided pairs among themselves).
+  The census takes the FWD child's leaf count twice; extremal skips the
+  BWD child, as after the FWD child the incumbent is at least its best
+  leaf, which the mirror image cannot strictly beat.
 
 Because every cut discards only subtrees that cannot strictly beat the
 incumbent, the returned value is the true maximum and the witness is
 deterministic: it is the encode-minimal optimum among those the fixed
 search order encounters (the initial construction counts as
 encountered).  The cuts change how many nodes are visited, never the
-sequence of incumbents.  `explored` counts every node the call
+sequence of incumbents; the mirror rule only removes nodes, so
+`explored` only falls under it.  `explored` counts every node the call
 entered, over the whole chain of sizes.
 
 extremal_naive answers the same question by full enumeration (the
@@ -66,6 +77,7 @@ from .core import (
     Partition,
     Weight,
     WeightedValue,
+    _ints,
     make_dtr,
     pair_list,
     require_mode,
@@ -109,6 +121,16 @@ def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
     (leaves, explored), where explored counts the root and every child
     entered.
 
+    The BWD child of pair (i, j) is not entered when it is the mirror
+    image of the FWD child: when every decided pair is BOTH or NO_ARC
+    (arc reversal fixes them; `down` carries this as `mirror`), or when
+    j = i + 1 and out[i] == out[j] and inn[i] == inn[j] (the swap
+    (i i+1) fixes them; at that pair the four masks hold only arcs to
+    and from vertices below i).  Its leaves are the FWD child's leaves
+    under that map, so they are counted again; with a bound, none of
+    them can strictly beat the incumbent the FWD child left, so none is
+    written and the sequence of incumbents is the unpruned walk's.
+
     The walk keeps the in-masks `inn` beside the out-masks `out`, and the
     arc check reads both.  A child of pair (i, j) sets the bits of its
     arcs in out[i], out[j], inn[i] and inn[j] only, and restores those
@@ -131,8 +153,10 @@ def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
     w = npairs + 1
     # the cell granted to one undecided pair
     g = w if mode == DIGRAPH else 1
-    # per state: its arcs and how far its cell falls short of the granted one
-    steps = [(s & FWD, s & BWD, (s == BOTH) * w + (s in (FWD, BWD)) - g)
+    # per state: its arcs, how far its cell falls short of the granted one,
+    # whether it is BWD (the mirror of FWD) and whether reversal fixes it
+    steps = [(s & FWD, s & BWD, (s == BOTH) * w + (s in (FWD, BWD)) - g,
+              s == BWD, s in (BOTH, NO_ARC))
              for s in PAIR_CHOICES[mode]]
     out = [0] * n
     inn = [0] * n  # in-masks of the same digraph, for the arc check
@@ -141,8 +165,9 @@ def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
     leaves = 0
     explored = 1  # the root
 
-    def down(d: int, c: int):
-        # c: the granted total's cell, equal to the true one at a leaf
+    def down(d: int, c: int, mirror: bool):
+        # c: the granted total's cell, equal to the true one at a leaf;
+        # mirror: every decided pair is BOTH or NO_ARC
         nonlocal leaves, explored
         if d == npairs:
             leaves += 1
@@ -151,26 +176,35 @@ def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
             return
         i, j = pairs[d]
         oi, oj, ii, ij = out[i], out[j], inn[i], inn[j]
+        # reversal, or the swap (i i+1), maps the FWD child onto the BWD
+        # one; at pair (i, i+1) the four masks hold only arcs with x < i
+        twin = mirror or j == i + 1 and oi == oj and ii == ij
         if keys is not None:
             di, dj = deg[i], deg[j]
-        for fwd, bwd, e in steps:
+        for fwd, bwd, e, is_bwd, fixed in steps:
             if keys is not None:
                 top = best[0]
                 if keys[c + e] <= top or keys[di + e] <= top or keys[dj + e] <= top:
                     break
+            if is_bwd and twin:
+                # same leaves as the FWD child; none beats the incumbent now
+                leaves += mirrored
+                continue
             if fwd:
                 out[i] = oi | 1 << j
                 inn[j] = ij | 1 << i
             if bwd:
                 out[j] = oj | 1 << i
                 inn[i] = ii | 1 << j
+            mark = leaves
             if not (fwd and arc_completes_blowup(out, inn, n, k, t, i, j)
                     or bwd and arc_completes_blowup(out, inn, n, k, t, j, i)):
                 explored += 1
                 if keys is not None:
                     deg[i] = di + e
                     deg[j] = dj + e
-                down(d + 1, c + e)
+                down(d + 1, c + e, mirror and fixed)
+            mirrored = leaves - mark
             out[i] = oi
             out[j] = oj
             inn[i] = ii
@@ -178,7 +212,7 @@ def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
         if keys is not None:
             deg[i], deg[j] = di, dj
 
-    down(0, g * npairs)
+    down(0, g * npairs, True)
     return leaves, explored
 
 
@@ -192,15 +226,16 @@ def extremal(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> Extrem
     walk applies the degree floor.  `explored` counts every node of the
     whole chain.  Measured on a shared 2-core Xeon VM at a = 2, digraph
     mode (medians of six runs, which spread by up to 40%): T_3^1 takes
-    about 0.002 s at n = 6 (459 nodes), 0.3 s at n = 7 (128,409 nodes)
-    and 0.3 s at n = 8, which ends at the root; T_4^1 at n = 8 takes
-    about 3.9 s (913,671 nodes), T_2^2 at n = 6 about 1.7 s (467,823
-    nodes) and T_3^2 at n = 7 about 2.2 s (202,641 nodes).  The hard
+    about 0.001 s at n = 6 (245 nodes), 0.14 s at n = 7 (63,885 nodes)
+    and 0.16 s at n = 8, which ends at the root; T_4^1 at n = 8 takes
+    about 1.6 s (427,737 nodes), T_2^2 at n = 6 about 0.8 s (222,045
+    nodes) and T_3^2 at n = 7 about 0.9 s (87,882 nodes).  The hard
     capacity bound is 16 vertices.
     Forbidding blowup(1, t) is refused: every digraph on >= t vertices
     contains it, so no maximum exists.
     """
     require_mode(mode)
+    (n,) = _ints((n,), "n")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if n > MAX_VERTICES:

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -186,6 +187,19 @@ def test_admits_partition_invariant_under_relabelling(g, r, t, data):
 def test_count_partite_monotone_in_r(n, r, t, mode):
     # an r-partition is an (r+1)-partition with one class empty
     assert count_partite(n, r, t, mode) <= count_partite(n, r + 1, t, mode)
+
+
+def test_census_sizes_are_normalised_to_int():
+    assert count_free(np.int64(3), BlowupSpec(3, 1), ORIENTED) == 21
+    assert count_partite(3, np.int64(2), True, ORIENTED) == 19
+    assert count_partite(True, 1, 1) == 1
+    assert admits_partition(make_dtr(4, 2), np.int64(2), True)
+    for call in (lambda: count_free(2.0, BlowupSpec(2, 1)),
+                 lambda: count_partite(2.0, 2, 1), lambda: count_partite(3, 2.0, 1),
+                 lambda: count_partite(3, 2, 1.0),
+                 lambda: admits_partition(make_dtr(4, 2), 2.0, 1)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_lower_bound_partite_frozen_values():

@@ -160,13 +160,13 @@ GOLDEN = [
      "command,graph,k,t,free,witness\n"
      "check,TDG 4 033330,2,2,false,0 1 2 3\n"),
     (["ex", "--n", "4", "--k", "3", "--t", "1"],
-     "value: 8  (f1=0, f2=4)\nwitness: TDG 4 033330\nexplored: 11\n",
+     "value: 8  (f1=0, f2=4)\nwitness: TDG 4 033330\nexplored: 8\n",
      "command,n,k,t,weight,mode,f1,f2,value_exact,value_float,witness,explored\n"
-     "ex,4,3,1,2,digraph,0,4,8,8.0,TDG 4 033330,11\n"),
+     "ex,4,3,1,2,digraph,0,4,8,8.0,TDG 4 033330,8\n"),
     (["ex", "--n", "4", "--k", "3", "--t", "1", "--weight", "log3"],
-     "value: ~6.339850  (f1=0, f2=4)\nwitness: TDG 4 033330\nexplored: 15\n",
+     "value: ~6.339850  (f1=0, f2=4)\nwitness: TDG 4 033330\nexplored: 10\n",
      "command,n,k,t,weight,mode,f1,f2,value_exact,value_float,witness,explored\n"
-     "ex,4,3,1,log3,digraph,0,4,,6.339850002884624,TDG 4 033330,15\n"),
+     "ex,4,3,1,log3,digraph,0,4,,6.339850002884624,TDG 4 033330,10\n"),
     (["count", "free", "--n", "4", "--k", "3", "--t", "1"],
      "921\n",
      "command,variant,n,k,r,t,mode,count\n"

@@ -192,6 +192,23 @@ def test_vertex_count_and_vertices_are_normalised_to_int():
         pair_index(3.0, 0, 1)
 
 
+def test_spec_and_construction_sizes_are_normalised_to_int():
+    spec = BlowupSpec(np.int64(3), True)
+    assert (type(spec.k), type(spec.t)) == (int, int) and str(spec) == "T_3^1"
+    assert spec == BlowupSpec(3, 1) and hash(spec) == hash(BlowupSpec(3, 1))
+    assert make_dtr(np.int64(4), True) == make_dtr(4, 1)
+    assert turan_part_sizes(True, np.int64(2)) == [1, 0]
+    assert turan_edges(np.int64(5), 2) == 6
+    res = extremal(True, BlowupSpec(2, 1), Weight.rational(2))
+    assert type(res.n) is int and res.n == 1
+    for call in (lambda: BlowupSpec(2.0, 1), lambda: BlowupSpec(2, "1"),
+                 lambda: make_dtr(2.0, 1), lambda: make_dtr(2, 1.0),
+                 lambda: turan_part_sizes(2.0, 1), lambda: turan_edges(4, 2.0),
+                 lambda: extremal(2.0, BlowupSpec(2, 1), Weight.rational(2))):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_capacity_bound_is_sixteen():
     Digraph.empty(16)
     with pytest.raises(CapacityError):

@@ -123,13 +123,13 @@ def test_extremal_is_deterministic():
 # chain, m = 2..n; at n = 6 the T_3^1 and T_4^1 digraph searches end at
 # the root on the averaging cap
 FROZEN_SEARCHES = {
-    (6, 3, 1, "2", DIGRAPH): (459, encode(make_dtr(6, 2))),
-    (6, 4, 1, "2", DIGRAPH): (151, "TDG 6 033333333033330"),
-    (6, 3, 2, "2", DIGRAPH): (1784, "TDG 6 333333333333121"),
-    (5, 3, 1, "log3", DIGRAPH): (1596, "TDG 5 0033033330"),
-    (5, 2, 2, "7/4", DIGRAPH): (11379, "TDG 5 3312122111"),
-    (6, 3, 1, "2", ORIENTED): (270, "TDG 6 112200112112011"),
-    (6, 2, 2, "2", ORIENTED): (1746, "TDG 6 111221211112211"),
+    (6, 3, 1, "2", DIGRAPH): (245, encode(make_dtr(6, 2))),
+    (6, 4, 1, "2", DIGRAPH): (78, "TDG 6 033333333033330"),
+    (6, 3, 2, "2", DIGRAPH): (911, "TDG 6 333333333333121"),
+    (5, 3, 1, "log3", DIGRAPH): (813, "TDG 5 0033033330"),
+    (5, 2, 2, "7/4", DIGRAPH): (5398, "TDG 5 3312122111"),
+    (6, 3, 1, "2", ORIENTED): (192, "TDG 6 112200112112011"),
+    (6, 2, 2, "2", ORIENTED): (1106, "TDG 6 111221211112211"),
 }
 
 
@@ -157,7 +157,7 @@ def test_extremal_t3_at_seven_and_eight_vertices():
 
 # weight -> (explored at n = 5, at n = 6) for digraph T_3^1: under every
 # weight the n = 6 step meets the averaging cap and ends at the root
-AVERAGING_CAP_EXITS = {"2": (458, 459), "log3": (1596, 1597), "7/4": (1594, 1595)}
+AVERAGING_CAP_EXITS = {"2": (244, 245), "log3": (813, 814), "7/4": (812, 813)}
 
 
 @pytest.mark.parametrize("w", sorted(AVERAGING_CAP_EXITS))
@@ -207,12 +207,12 @@ def test_vertex_deletion_averaging_on_free_digraphs(n, data, spec, a):
 # (call, n, k, t, weight or None, mode) -> (explored or None, arc checks);
 # extremal and count_free share one walk, which must keep its work
 ARC_CHECK_CALLS = {
-    ("extremal", 5, 3, 1, "log3", DIGRAPH): (1596, 4650),
-    ("extremal", 5, 2, 2, "7/4", DIGRAPH): (11379, 28806),
-    ("extremal", 6, 3, 1, "2", ORIENTED): (270, 503),
-    ("count_free", 5, 3, 1, None, DIGRAPH): (None, 146246),
-    ("count_free", 5, 2, 2, None, ORIENTED): (None, 49832),
-    ("count_free", 5, 4, 1, None, ORIENTED): (None, 56216),
+    ("extremal", 5, 3, 1, "log3", DIGRAPH): (813, 2339),
+    ("extremal", 5, 2, 2, "7/4", DIGRAPH): (5398, 13618),
+    ("extremal", 6, 3, 1, "2", ORIENTED): (192, 305),
+    ("count_free", 5, 3, 1, None, DIGRAPH): (None, 70811),
+    ("count_free", 5, 2, 2, None, ORIENTED): (None, 21685),
+    ("count_free", 5, 4, 1, None, ORIENTED): (None, 24274),
 }
 
 
@@ -254,16 +254,49 @@ def test_free_walk_keeps_in_masks_of_its_out_masks(mode, monkeypatch):
         return real(out_masks, in_masks, n, k, t, u, v)
 
     monkeypatch.setattr(search, "arc_completes_blowup", checked)
-    # digraph n = 5 censuses make up to 1.07M checks, so they stop at 4;
-    # T_3^2 first reaches the pending walk at n = 6
+    # digraph n = 5 censuses make up to 0.5M checks, so only T_3^1 (71k)
+    # runs there; T_3^2 first reaches the pending walk at n = 6
     top = 4 if mode == DIGRAPH else 5
     for spec in SPECS:
         for n in range(2, 6):
             if n <= top:
                 census.count_free(n, spec, mode)
             extremal(n, spec, Weight.rational(2), mode)
+    if mode == DIGRAPH:
+        census.count_free(5, BlowupSpec(3, 1), mode)
     extremal(6, BlowupSpec(3, 2), Weight.rational(2), mode)
     assert calls > 40_000
+
+
+def _reversed(g: Digraph) -> Digraph:
+    return Digraph.from_arcs(g.n, [(v, u) for u, v in g.arcs()])
+
+
+def _swapped(g: Digraph, i: int) -> Digraph:
+    """g with vertices i and i + 1 exchanged."""
+    image = {i: i + 1, i + 1: i}
+    return Digraph.from_arcs(g.n, [(image.get(u, u), image.get(v, v)) for u, v in g.arcs()])
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=digraphs(2, 7), r=st.integers(1, 3), t=st.integers(1, 2), data=st.data())
+def test_reversal_and_adjacent_swaps_keep_freeness_and_partitions(g, r, t, data):
+    # the two facts behind the walks' mirror rule: reversing every arc, or
+    # swapping i and i + 1, maps each copy of a T_k^t to a copy, and
+    # reversal keeps every class of a partition free of T_2^t.  Each
+    # pattern is tried on g, on a free digraph grown from g's states and on
+    # that one with one more arc, which sits at the threshold
+    n = g.n
+    for spec in SPECS:
+        free = _greedy_free(n, g.states, spec)
+        u, v = data.draw(st.permutations(range(n)))[:2]
+        for h in (g, free, add_arc(free, u, v)):
+            expect = is_free(h, spec)
+            assert is_free(_reversed(h), spec) == expect
+            for i in range(n - 1):
+                assert is_free(_swapped(h, i), spec) == expect
+    for h in (g, _greedy_free(n, g.states, BlowupSpec(r + 1, t))):
+        assert census.admits_partition(_reversed(h), r, t) == census.admits_partition(h, r, t)
 
 
 def test_naive_reports_lexicographically_first_optimum():
