@@ -62,6 +62,7 @@ from .core import (
     BlowupSpec,
     CapacityError,
     Digraph,
+    _ints,
     pair_list,
     require_mode,
 )
@@ -318,6 +319,7 @@ def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1) -> SweepSummary
     if threads != 1:
         raise ValueError(f"sweep runs serially; threads must be 1, got {threads}")
     require_mode(mode)
+    (n,) = _ints((n,), "n")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if n > SWEEP_BOUND[mode]:

@@ -3,8 +3,8 @@
 extremal(n, spec, a) maximises the weighted size a*f2 + f1 over all
 digraphs on n vertices containing no copy of blowup(spec.k, spec.t).
 The search is a branch and bound over pair states, run on `_free_walk`,
-the depth-first walk over free digraphs that `census.count_free` also
-uses:
+the depth-first walk over free digraphs that `orbits` also uses to
+attach a vertex to each isomorphism class of `census.count_free`:
 
 * pairs are decided in the canonical lexicographic order, states tried
   densest-first (BOTH, FWD, BWD, NO_ARC; oriented mode drops BOTH), as
@@ -38,9 +38,11 @@ uses:
   when every decided pair is BOTH or NO_ARC, or the swap (i i+1) when
   j = i + 1 and i and i + 1 have the same states towards every earlier
   vertex (the swap then permutes the undecided pairs among themselves).
-  The census takes the FWD child's leaf count twice; extremal skips the
-  BWD child, as after the FWD child the incumbent is at least its best
-  leaf, which the mirror image cannot strictly beat.
+  extremal skips the BWD child, as after the FWD child the incumbent is
+  at least its best leaf, which the mirror image cannot strictly beat.
+  This cut is extremal's alone: the census counts each isomorphism
+  class once (`orbits`), which covers every relabelling, not only these
+  two maps.
 
 Because every cut discards only subtrees that cannot strictly beat the
 incumbent, the returned value is the true maximum and the witness is
@@ -110,45 +112,49 @@ class EditDistanceResult:
 PAIR_CHOICES = {DIGRAPH: (BOTH, FWD, BWD, NO_ARC), ORIENTED: (FWD, BWD, NO_ARC)}
 
 
-def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
+def _free_walk(n: int, spec: BlowupSpec, mode: str, out: list[int], pairs,
+               found: list | None = None, keys=None, best=None,
                sub: int = 0) -> tuple[int, int]:
-    """Depth-first walk over the spec-free digraphs on n vertices.
+    """Depth-first walk over the spec-free completions of a free digraph.
 
-    Pairs are decided in `pair_list` order, each trying the states of
+    out holds the out-masks of a spec-free digraph on n vertices, and the
+    walk decides `pairs` in order, each trying the states of
     PAIR_CHOICES[mode] in turn.  A child is skipped when one of its new
     arcs completes a copy (checked i -> j, then j -> i); nothing below a
     copy is free, so every leaf reached is free.  Returns
     (leaves, explored), where explored counts the root and every child
-    entered.
-
-    The BWD child of pair (i, j) is not entered when it is the mirror
-    image of the FWD child: when every decided pair is BOTH or NO_ARC
-    (arc reversal fixes them; `down` carries this as `mirror`), or when
-    j = i + 1 and out[i] == out[j] and inn[i] == inn[j] (the swap
-    (i i+1) fixes them; at that pair the four masks hold only arcs to
-    and from vertices below i).  Its leaves are the FWD child's leaves
-    under that map, so they are counted again; with a bound, none of
-    them can strictly beat the incumbent the FWD child left, so none is
-    written and the sequence of incumbents is the unpruned walk's.
+    entered; given found, each leaf's out-masks are appended to it as a
+    tuple.  `orbits` walks the pairs (0, m) ... (m - 1, m) from the masks
+    of a class on m vertices, to attach vertex m.
 
     The walk keeps the in-masks `inn` beside the out-masks `out`, and the
     arc check reads both.  A child of pair (i, j) sets the bits of its
     arcs in out[i], out[j], inn[i] and inn[j] only, and restores those
     four entries when it returns, so no check rebuilds an in-mask.
 
-    Given keys, the walk is the `extremal` branch and bound.  It carries
-    each (f1, f2) as one cell f2 * w + f1, w = C(n, 2) + 1; cells add as
-    the pairs do, and keys[c] is `Weight._key` of the pair in cell c.
-    best is the incumbent [key, out-masks or None], and sub is the cell
-    of ex_a(n - 1).  Every undecided pair is granted the densest state (a
+    Given keys, the walk is the `extremal` branch and bound, from the
+    empty digraph over pair_list(n).  It carries each (f1, f2) as one
+    cell f2 * w + f1, w = C(n, 2) + 1; cells add as the pairs do, and
+    keys[c] is `Weight._key` of the pair in cell c.  best is the
+    incumbent [key, out-masks or None], and sub is the cell of
+    ex_a(n - 1).  Every undecided pair is granted the densest state (a
     digon, or a single arc in oriented mode).  A child is cut, before its
     arc check, when the granted total, or the granted degree of i or of j
     plus sub, has a key <= best[0]; states come densest first, so the
     first cut ends the level.  Each leaf reached strictly beats the
     incumbent and is written into best.
+
+    The branch and bound also skips the BWD child of pair (i, j) when it
+    is the mirror image of the FWD child: when every decided pair is
+    BOTH or NO_ARC (arc reversal fixes them; `down` carries this as
+    `mirror`), or when j = i + 1 and out[i] == out[j] and
+    inn[i] == inn[j] (the swap (i i+1) fixes them; at that pair the four
+    masks hold only arcs to and from vertices below i).  None of its
+    leaves can strictly beat the incumbent the FWD child left, so none
+    would be written and the sequence of incumbents is the unpruned
+    walk's.
     """
     k, t = spec.k, spec.t
-    pairs = pair_list(n)
     npairs = len(pairs)
     w = npairs + 1
     # the cell granted to one undecided pair
@@ -158,8 +164,9 @@ def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
     steps = [(s & FWD, s & BWD, (s == BOTH) * w + (s in (FWD, BWD)) - g,
               s == BWD, s in (BOTH, NO_ARC))
              for s in PAIR_CHOICES[mode]]
-    out = [0] * n
-    inn = [0] * n  # in-masks of the same digraph, for the arc check
+    out = list(out)
+    # in-masks of the same digraph, for the arc check
+    inn = [sum(1 << u for u in range(n) if out[u] >> v & 1) for v in range(n)]
     # granted degree cell of each vertex plus sub: the degree floor
     deg = [sub + g * (n - 1)] * n
     leaves = 0
@@ -173,30 +180,29 @@ def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
             leaves += 1
             if best is not None:
                 best[:] = keys[c], out.copy()
+            elif found is not None:
+                found.append(tuple(out))
             return
         i, j = pairs[d]
         oi, oj, ii, ij = out[i], out[j], inn[i], inn[j]
-        # reversal, or the swap (i i+1), maps the FWD child onto the BWD
-        # one; at pair (i, i+1) the four masks hold only arcs with x < i
-        twin = mirror or j == i + 1 and oi == oj and ii == ij
         if keys is not None:
             di, dj = deg[i], deg[j]
+            # reversal, or the swap (i i+1), maps the FWD child onto the BWD
+            # one; at pair (i, i+1) the four masks hold only arcs with x < i
+            twin = mirror or j == i + 1 and oi == oj and ii == ij
         for fwd, bwd, e, is_bwd, fixed in steps:
             if keys is not None:
                 top = best[0]
                 if keys[c + e] <= top or keys[di + e] <= top or keys[dj + e] <= top:
                     break
-            if is_bwd and twin:
-                # same leaves as the FWD child; none beats the incumbent now
-                leaves += mirrored
-                continue
+                if is_bwd and twin:
+                    continue  # no leaf of the mirror image beats the incumbent now
             if fwd:
                 out[i] = oi | 1 << j
                 inn[j] = ij | 1 << i
             if bwd:
                 out[j] = oj | 1 << i
                 inn[i] = ii | 1 << j
-            mark = leaves
             if not (fwd and arc_completes_blowup(out, inn, n, k, t, i, j)
                     or bwd and arc_completes_blowup(out, inn, n, k, t, j, i)):
                 explored += 1
@@ -204,7 +210,6 @@ def _free_walk(n: int, spec: BlowupSpec, mode: str, keys=None, best=None,
                     deg[i] = di + e
                     deg[j] = dj + e
                 down(d + 1, c + e, mirror and fixed)
-            mirrored = leaves - mark
             out[i] = oi
             out[j] = oj
             inn[i] = ii
@@ -283,7 +288,8 @@ def _extremal_step(n: int, spec: BlowupSpec, a: Weight, mode: str,
     # exact comparison keys of every cell f2 * w + f1, f1, f2 <= C(n, 2)
     keys = [a._key(c % w, c // w) for c in range(w * w)]
     best = [keys[start.f2 * w + start.f1], None]
-    _, explored = _free_walk(n, spec, mode, keys, best, sub[1] * w + sub[0])
+    _, explored = _free_walk(n, spec, mode, [0] * n, pair_list(n), keys=keys, best=best,
+                             sub=sub[1] * w + sub[0])
     out = best[1]
     if out is None:
         return start, explored
@@ -299,6 +305,7 @@ def extremal_naive(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> 
     `explored` is the full state-space size.
     """
     summary = oracle.sweep(n, spec, mode)
+    n = summary.n
     if not summary.frontier:
         # only possible when k = 1 and n >= t: every digraph contains the pattern
         raise ValueError(f"no {spec}-free digraphs on {n} vertices")

@@ -28,7 +28,7 @@ from ttlab import (
     ratio_report,
     turan_edges,
 )
-from ttlab.oracle import iter_digraphs
+from ttlab.oracle import SWEEP_BOUND, iter_digraphs
 
 SPECS = [BlowupSpec(2, 1), BlowupSpec(3, 1), BlowupSpec(4, 1), BlowupSpec(2, 2)]
 
@@ -70,8 +70,9 @@ def test_count_free_oriented_triangle_frozen():
 
 
 def test_count_free_matches_enumeration_oracle():
+    # every n up to the sweep bound: n - 1 is the last level with classes
     for mode in (DIGRAPH, ORIENTED):
-        for n in range(0, 5):
+        for n in range(SWEEP_BOUND[mode] + 1):
             for spec in SPECS:
                 assert count_free(n, spec, mode) == count_free_naive(n, spec, mode), (
                     n, str(spec), mode)
@@ -209,6 +210,16 @@ def test_lower_bound_partite_frozen_values():
     assert lower_bound_partite(5, 2, 1) == 3 ** turan_edges(5, 2)
     # for t = 2 a class of two vertices keeps one arc, hence the 2^1
     assert lower_bound_partite(4, 2, 2) == 3 ** turan_edges(4, 2) * 2
+
+
+def test_lower_bound_partite_normalises_its_sizes_first():
+    # n, r and t are normalised before n // r, so a bad one is named as
+    # itself and not as the n it would hand to extremal
+    assert lower_bound_partite(np.int64(4), np.int64(2), True) == 81
+    for args, name in (((4.0, 2, 1), "n must"), ((4, 2.0, 1), "r and t"),
+                       ((4, 2, 1.0), "r and t")):
+        with pytest.raises(ValueError, match=name):
+            lower_bound_partite(*args)
 
 
 def test_lower_bound_is_a_lower_bound_digraph_mode():

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttlab import (BlowupSpec, CapacityError, DIGRAPH, Digraph, ORIENTED, blowup, contains,
-                   is_free, oracle)
+from ttlab import (BlowupSpec, CapacityError, DIGRAPH, Digraph, ORIENTED, Weight, blowup,
+                   contains, count_free_naive, extremal_naive, is_free, oracle)
 from ttlab.oracle import SWEEP_BOUND, graph_from_index, iter_digraphs, sweep
 
 SPECS = [BlowupSpec(2, 1), BlowupSpec(3, 1), BlowupSpec(4, 1),
@@ -196,3 +196,16 @@ def test_sweep_capacity_bounds():
         sweep(6, BlowupSpec(3, 1), DIGRAPH)
     with pytest.raises(CapacityError):
         sweep(7, BlowupSpec(3, 1), ORIENTED)
+
+
+def test_sweep_normalises_n_to_int():
+    # n goes through core._ints: integer types are kept, a float is refused
+    # with ValueError, and so are the naive routes that hand n on
+    assert sweep(np.int64(3), BlowupSpec(2, 1), DIGRAPH) is sweep(3, BlowupSpec(2, 1), DIGRAPH)
+    assert type(sweep(np.int64(3), BlowupSpec(2, 1), DIGRAPH).n) is int
+    assert type(extremal_naive(np.int64(3), BlowupSpec(3, 1), Weight.rational(2)).n) is int
+    for call in (lambda: sweep(3.0, BlowupSpec(2, 1), DIGRAPH),
+                 lambda: extremal_naive(3.0, BlowupSpec(3, 1), Weight.rational(2)),
+                 lambda: count_free_naive(3.0, BlowupSpec(3, 1))):
+        with pytest.raises(ValueError, match="n must be integers"):
+            call()
