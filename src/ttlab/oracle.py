@@ -4,11 +4,12 @@ Everything in this module enumerates *every* digraph on n labelled
 vertices (4^C(n,2) of them, or 3^C(n,2) in oriented mode) and evaluates
 each one, with no search-tree pruning of any kind.  The point is to give
 the clever routines elsewhere in the package something independent to be
-checked against.  Containment is one vectorised walk of its own over
-whole blocks of graphs: the chain of t-sets defined in the `embed`
-module docstring, searched for every graph of a block at once.  Nothing
-is imported from `embed`, and the tests check the walk row by row
-against `embed.contains`, the generic embedding backtracker.
+checked against.  Containment is one vectorised table of its own over
+whole blocks of graphs: for every vertex set, the graphs of a block in
+which it splits into a chain of t-sets (defined in the `embed` module
+docstring).  Nothing is imported from `embed`, and the tests check the
+table row by row against `embed.contains`, the generic embedding
+backtracker.
 
 Graph index convention: graph number g (0 <= g < radix**P, P = C(n,2))
 has pair p's state equal to digit p of g written big-endian in base
@@ -22,7 +23,7 @@ string of each half once (at most 3^8 = 6,561 or 4^5 = 1,024 rows), and
 a block of graphs is a run of whole high rows.  Every graph is still
 decoded and tested.
 
-Bit layout: the walk tests 64 graphs per machine word.  Each directed
+Bit layout: the table tests 64 graphs per machine word.  Each directed
 arc (u, v) has one packed uint64 column per block, one bit per graph.
 The L low rows are padded to whole words, Lw = ceil(L / 64) words or
 Lp = 64 * Lw bits, so high row h of the block starting at h0 holds words
@@ -32,13 +33,13 @@ order within a block, and blocks come in ascending order.  An arc lies in
 one half only.  A low arc's words are packed once per sweep and tiled to
 a block's high rows; a high arc's word is all ones or all zeros, repeated
 Lw times per high row.  The Lp - L padding bits of each row are marked
-off by a column `valid`, which the walk starts from, so no padding bit is
+off by a column `valid`, which cuts every answer, so no padding bit is
 ever set in an answer or counted.
 
 Cells: a graph's cell is f2 * w + f1 with w = P + 1.  f1 and f2 add over
 the two halves, so each half keeps an int16 cell per row, and a block's
 cells are the sum-outer of the two, built a few high rows at a time next
-to the free bits unpacked from the walk's answer.  The frontier is read
+to the free bits unpacked from the table's answer.  The frontier is read
 off one table over the cells.  A cell is written once, when its first
 free graph turns up, with that graph's index; blocks ascend, so the first
 index kept for each cell is its smallest.
@@ -115,7 +116,7 @@ def graph_from_index(n: int, mode: str, index: int) -> Digraph:
 
 
 # ======================================================================
-# vectorised containment: the chain walk
+# vectorised containment: the vertex-set table
 # ======================================================================
 
 def _out_columns(states: np.ndarray, n: int) -> list[np.ndarray]:
@@ -150,63 +151,60 @@ def _packed_arcs(states: np.ndarray, n: int):
     return arcs, _pack(np.ones(states.shape[0], np.uint8))
 
 
-def _chain_walk(arcs, sets, t, found, allowed, used, levels):
-    """One level of the chain walk, for every graph of a block at once.
-
-    Every column is packed, one bit per graph.  sets lists every t-set as
-    (mask, vertices).  allowed[w] is the column of graphs in which w may
-    still join the chain, None for a vertex in used (the vertices the
-    chain has taken so far, the same in every graph), and levels is how
-    many t-sets are still to pick.  inside is where all of a set S is
-    allowed, and the next level allows w where w is also an
-    out-neighbour of every vertex of S.  The last set is never picked: a
-    chain completes where the one before it still has t allowed common
-    out-neighbours.  found collects the graphs that hold a chain.
-    """
-    n = len(allowed)
-    for mask, verts in sets:
-        if mask & used:
-            continue
-        inside = allowed[verts[0]]
-        for v in verts[1:]:
-            inside = inside & allowed[v]
-        rest = [w for w in range(n) if allowed[w] is not None and not mask >> w & 1]
-        if levels > 1:
-            nxt = [None] * n
-            for w in rest:
-                nxt[w] = inside & allowed[w]
-                for v in verts:
-                    nxt[w] &= arcs[v][w]
-            _chain_walk(arcs, sets, t, found, nxt, used | mask, levels - 1)
-            continue
-        # bit-sliced counters: c[j] marks the graphs where at least j + 1 of
-        # the w so far are allowed common out-neighbours of S (None: none)
-        c = [None] * t
-        for w in rest:
-            x = allowed[w] & arcs[verts[0]][w]
-            for v in verts[1:]:
-                x &= arcs[v][w]
-            for j in range(t - 1, 0, -1):
-                if c[j - 1] is not None:
-                    c[j] = c[j - 1] & x if c[j] is None else c[j] | (c[j - 1] & x)
-            c[0] = x if c[0] is None else c[0] | x
-        if c[-1] is not None:
-            found |= inside & c[-1]
-
-
 def _contains_chunk(arcs, valid, k, t):
     """Packed column: which graphs of a block contain blowup(k, t).
 
     arcs are the block's packed arc columns (n = len(arcs), possibly 0)
-    and valid marks its graphs; no padding bit of the answer is set."""
+    and valid marks its graphs.  chains[used] is the column of graphs in
+    which the vertex set used splits into a chain of t-sets (None: every
+    graph).  Level 1 holds every t-set; a level adds a t-set S outside
+    used where every vertex of used has the arc to every vertex of S,
+    ORed into the entry of used | S, so each set is kept once whatever
+    the order of its t-sets.  The last t-set is never picked: a chain of
+    k - 1 levels completes where used has t common out-neighbours outside
+    it.  High arcs set their padding bits, so the answer is cut to valid
+    once, at the end, and no padding bit of it is set.
+    """
     n = len(arcs)
     if k * t > n:
         return np.zeros_like(valid)
     if k == 1:
         return valid.copy()
-    sets = [(sum(1 << v for v in verts), verts) for verts in combinations(range(n), t)]
+    sets = [sum(1 << v for v in verts) for verts in combinations(range(n), t)]
+    chains = dict.fromkeys(sets)
     found = np.zeros_like(valid)
-    _chain_walk(arcs, sets, t, found, [valid] * n, 0, k - 1)
+    for level in range(2, k + 1):
+        grown = {}
+        for used, col in chains.items():
+            inside = [a for a in range(n) if used >> a & 1]
+            # into[b]: the graphs where every vertex of used has the arc to b
+            into = {}
+            for b in range(n):
+                if not used >> b & 1:
+                    into[b] = arcs[inside[0]][b]
+                    for a in inside[1:]:
+                        into[b] = into[b] & arcs[a][b]
+            if level < k:
+                for s in sets:
+                    if not s & used:
+                        x = col
+                        for b in into:
+                            if s >> b & 1:
+                                x = into[b] if x is None else x & into[b]
+                        grown[used | s] = grown[used | s] | x if used | s in grown else x
+                continue
+            # bit-sliced counters: c[j] marks the graphs where at least j + 1
+            # of the b so far are common out-neighbours of used (None: none)
+            c = [None] * t
+            for x in into.values():
+                for j in range(t - 1, 0, -1):
+                    if c[j - 1] is not None:
+                        c[j] = c[j - 1] & x if c[j] is None else c[j] | (c[j - 1] & x)
+                c[0] = x if c[0] is None else c[0] | x
+            if c[-1] is not None:
+                found |= c[-1] if col is None else col & c[-1]
+        chains = grown
+    found &= valid
     return found
 
 
@@ -284,10 +282,10 @@ def _block(hi, lo, h0, h1):
 # benchmark jobs took, in all (median of five fresh-process runs on a
 # 2-core Xeon VM, with the process's peak RSS): 0.245 s and 34.2 MB at
 # 2^15 graphs a block, 0.152 s and 34.1 MB at 2^16, 0.113 s and 34.5 MB
-# at 2^17, 0.095 s and 35.2 MB at 2^18.  The walk's per-call overhead
-# favours big blocks and its columns cost memory, so 2^17 keeps peak RSS
-# at that of the earlier one-byte-per-graph walk (34.4 MB at 2^15, where
-# it took 0.380 s).
+# at 2^17, 0.095 s and 35.2 MB at 2^18, with the earlier ordered chain
+# walk.  Per-call overhead favours big blocks and columns cost memory, so
+# 2^17 keeps peak RSS at that of the one-byte-per-graph walk before it
+# (34.4 MB at 2^15, where it took 0.380 s).
 _BLOCK = 1 << 17
 # About how many graphs of a block are unpacked to bools and cells at a
 # time, in whole high rows, at least one.  At 2^17 graphs a block the
@@ -305,10 +303,10 @@ def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1) -> SweepSummary
 
     Each block is tested 64 graphs per machine word (module docstring).
     On a 2-core Xeon VM (median of three fresh-process runs) the oriented
-    n = 6 sweeps over all 3^15 graphs take 0.08 s (T_3^1), 0.23 s
-    (T_4^1), 0.47 s (T_5^1), 0.10 s (T_2^2), 0.21 s (T_3^2) and 0.10 s
+    n = 6 sweeps over all 3^15 graphs take 0.05 s (T_3^1), 0.14 s
+    (T_4^1), 0.17 s (T_5^1), 0.10 s (T_2^2), 0.12 s (T_3^2) and 0.09 s
     (T_2^3); the digraph n = 5 sweeps over all 4^10 graphs take
-    0.003-0.015 s each.
+    0.003-0.009 s each.
 
     Blocks run one after another, in index order: with the earlier
     one-byte-per-graph walk, a thread pool over blocks was slower on

@@ -19,16 +19,19 @@ exhaustive generation", J. Algorithms 26, 1998), with the class set
 stored instead of canonical augmentation.
 
 `canonical_form` is colour refinement followed by a search over the
-orderings the colours leave.  Every vertex starts with one colour.  Each
-round gives a vertex the signature (its colour, and for its single-out,
-single-in and digon neighbours the number of them in each colour); the
-new colours are the ranks of the distinct signatures in sorted order,
-and the rounds stop when no colour splits.  The form is the least tuple
-of relabelled out-masks over every relabelling that puts colour 0 first,
-then colour 1 and so on, in any order inside each colour.  Colours
-depend on nothing but the digraph's structure, so a relabelled digraph
-has the same set of such relabellings and the same least tuple, and the
-tuple is itself a digraph of the class.
+orderings the colours leave.  Each round gives a vertex the signature
+(its colour, and for its single-out, single-in and digon neighbours the
+number of them in each colour); the new colours are the ranks of the
+distinct signatures in sorted order, and the rounds stop when no colour
+splits.  The first round, from one colour for every vertex, ranks the
+(single-out, single-in, digon) degree triples, so refinement starts
+there.  The form is the least tuple of relabelled out-masks over every
+relabelling that puts colour 0 first, then colour 1 and so on, in any
+order inside each colour; when every colour holds one vertex there is
+one such relabelling, and no search.  Colours depend on nothing but the
+digraph's structure, so a relabelled digraph has the same set of such
+relabellings and the same least tuple, and the tuple is itself a digraph
+of the class.
 """
 
 from __future__ import annotations
@@ -43,12 +46,27 @@ def canonical_form(out) -> tuple[int, ...]:
     """The out-masks of the canonical relabelling of the digraph with
     out-masks `out`: equal for two digraphs iff they are isomorphic."""
     n = len(out)
-    inn = [sum(1 << u for u in range(n) if out[u] >> v & 1) for v in range(n)]
+    inn = [0] * n
+    for u, o in enumerate(out):
+        while o:
+            inn[(o & -o).bit_length() - 1] |= 1 << u
+            o &= o - 1
     # single-out, single-in and digon neighbours of each vertex
     rels = [(o & ~i, i & ~o, o & i) for o, i in zip(out, inn)]
-    colour = [0] * n
-    cells = [(1 << n) - 1]  # the vertex mask of each colour
-    while len(cells) < n:
+    # round one from the uniform colouring: the (single-out, single-in,
+    # digon) degrees, packed as the signature below packs them
+    sig = [so.bit_count() << 8 | si.bit_count() << 4 | dg.bit_count() for so, si, dg in rels]
+    colour, cells = [], []
+    while True:
+        ranks = {s: r for r, s in enumerate(sorted(set(sig)))}
+        if len(ranks) == len(cells):
+            break
+        colour = [ranks[s] for s in sig]
+        cells = [0] * len(ranks)  # the vertex mask of each colour
+        for v, c in enumerate(colour):
+            cells[c] |= 1 << v
+        if len(cells) == n:
+            break
         # the signature packs the colour, then per cell the three counts,
         # four bits each (a count is below n <= 16)
         sig = []
@@ -59,14 +77,9 @@ def canonical_form(out) -> tuple[int, ...]:
                 x = (x << 12 | (so & cell).bit_count() << 8 | (si & cell).bit_count() << 4
                      | (dg & cell).bit_count())
             sig.append(x)
-        ranks = {s: r for r, s in enumerate(sorted(set(sig)))}
-        if len(ranks) == len(cells):
-            break
-        colour = [ranks[s] for s in sig]
-        cells = [0] * len(ranks)
-        for v, c in enumerate(colour):
-            cells[c] |= 1 << v
     succ = [[u for u in range(n) if o >> u & 1] for o in out]
+    if len(cells) == n:  # discrete: each vertex's colour is its position
+        return tuple(sum(1 << colour[u] for u in succ[cell.bit_length() - 1]) for cell in cells)
     members = [[v for v in range(n) if cell >> v & 1] for cell in cells]
     best = None
     pos = [0] * n

@@ -117,7 +117,8 @@ def packed(n, rows):
 
 @st.composite
 def blocks(draw):
-    n = draw(st.integers(0, 6))
+    # n = 7 is one past the oriented sweep bound; the uint8 out-columns hold n <= 8
+    n = draw(st.integers(0, 7))
     mode = draw(st.sampled_from([DIGRAPH, ORIENTED]))
     t = draw(st.integers(1, max(1, n // 2)))
     k = draw(st.integers(1, n // t + 1))
@@ -130,7 +131,7 @@ def blocks(draw):
     return n, k, t, rows.tolist()
 
 
-# the chain walk against the embedding backtracker, a different algorithm
+# the vertex-set table against the embedding backtracker, a different algorithm
 @settings(max_examples=300, deadline=None)
 @given(block=blocks())
 def test_contains_chunk_matches_backtracker_row_by_row(block):
@@ -168,6 +169,17 @@ def test_digraph_n5_frontier_cells_decode_to_free_graphs(spec):
         g = graph_from_index(5, DIGRAPH, idx)
         assert (g.f1, g.f2) == (f1, f2)
         assert is_free(g, spec)
+
+
+@pytest.mark.parametrize("spec, free_count, frontier", [
+    (BlowupSpec(5, 1), 14_192_787, {0: (15, 7_175_263)}),
+    (BlowupSpec(2, 3), 14_334_327, {0: (15, 7_174_480)}),
+], ids=["T_5^1", "T_2^3"])
+def test_oriented_n6_deepest_and_widest_chain_sweeps_are_pinned(spec, free_count, frontier):
+    # no count_free cross-check reaches these: T_5^1 has the most levels
+    # (k - 1 = 4 before the count) and T_2^3 the largest t
+    summary = sweep(6, spec, ORIENTED)
+    assert (summary.total, summary.free_count, summary.frontier) == (3 ** 15, free_count, frontier)
 
 
 def test_sweep_is_memoised():
