@@ -96,6 +96,7 @@ def iter_digraphs(n: int, mode: str = DIGRAPH):
     Pure-python companion to the numpy sweep, for small-n cross-checks.
     """
     require_mode(mode)
+    (n,) = _ints((n,), "n")
     radix = _RADIX[mode]
     for states in product(range(radix), repeat=comb(n, 2)):
         yield Digraph(n, states)
@@ -105,6 +106,7 @@ def graph_from_index(n: int, mode: str, index: int) -> Digraph:
     """The digraph numbered `index` in the given mode (module docstring);
     ValueError unless 0 <= index < radix**C(n,2)."""
     require_mode(mode)
+    (n,) = _ints((n,), "n")
     radix = _RADIX[mode]
     npairs = comb(n, 2)
     if not 0 <= index < radix ** npairs:

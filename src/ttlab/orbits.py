@@ -1,22 +1,24 @@
-"""Isomorphism classes of free digraphs, grown one vertex at a time.
+"""Isomorphism classes of a hereditary family, grown one vertex at a time.
 
-Freeness is hereditary and invariant under relabelling, so every
-spec-free digraph on m + 1 vertices is a spec-free digraph on the
-vertices 0..m-1 plus a free attachment of vertex m: one pair state
-towards each older vertex.  `free_classes` keeps a table from each class
-C on m vertices, keyed by its canonical form, to N(C), the number of
-labelled spec-free digraphs in C.  It starts from the empty digraph
+The family is closed under relabelling and under vertex deletion: the
+spec-free digraphs (`census.count_free`) or the digraphs with a good
+r-partition (`census.count_partite`).  So every member on m + 1 vertices
+is a member on the vertices 0..m-1 plus an attachment of vertex m: one
+pair state towards each older vertex.  `grow_classes` keeps a table from
+each class C on m vertices, keyed by its canonical form, to N(C), the
+number of labelled members in C.  It starts from the empty digraph
 (N = 1).  Any G in C relabels onto the key, fixing the new vertex m, and
 this carries the attachments of m to G onto those to the key, class for
-class.  So each free attachment to the key adds N(C) to the entry of its
-canonical form on m + 1 vertices, and the sum over C of N(C) times the
-free attachments to C's key is the labelled count on m + 1 vertices
-(`census.count_free`, which needs no canonical form at that last level).
-The attachments are `search._free_walk` over the pairs (0, m) ...
-(m - 1, m) from the key's out-masks, with the arc checks of every other
-walk.  This is isomorph-free generation (B. D. McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 26, 1998), with the class set
-stored instead of canonical augmentation.
+class.  So each attachment to the key that stays in the family adds N(C)
+to the entry of its canonical form on m + 1 vertices, and the sum over C
+of N(C) times those attachments is the labelled count on m + 1 vertices
+(`labelled_count`, which needs no canonical form at that last level).
+One loop serves both families, given the attachment walk: for freeness
+it is `search._free_walk` over the pairs (0, m) ... (m - 1, m) from the
+key's out-masks (`attachments`), and `census` has the partite one.  This
+is isomorph-free generation (B. D. McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998), with the class set stored instead
+of canonical augmentation.
 
 `canonical_form` is colour refinement followed by a search over the
 orderings the colours leave.  Each round gives a vertex the signature
@@ -101,18 +103,27 @@ def attachments(out, spec: BlowupSpec, mode: str, found: list | None = None) -> 
     return _free_walk(m + 1, spec, mode, [*out, 0], [(i, m) for i in range(m)], found)[0]
 
 
-def free_classes(m: int, spec: BlowupSpec, mode: str) -> dict[tuple[int, ...], int]:
-    """{canonical form of C: N(C)} over the classes C of spec-free
-    digraphs on m vertices, where N(C) counts the labelled ones in C.
-    The values sum to the labelled count on m vertices."""
+def grow_classes(m: int, attach, *args) -> dict[tuple[int, ...], int]:
+    """{canonical form of C: N(C)} over the classes C on m vertices of a
+    family closed under relabelling and vertex deletion, where N(C) counts
+    the labelled members in C.  attach(out, *args, found) counts the ways
+    to attach vertex len(out) to the member with out-masks `out` and stay
+    in the family, appending the out-masks of each to found."""
     classes = {(): 1}
     for _ in range(m):
         grown: dict[tuple[int, ...], int] = {}
         for form, count in classes.items():
             found: list[tuple[int, ...]] = []
-            attachments(form, spec, mode, found)
+            attach(form, *args, found)
             for out in found:
                 key = canonical_form(out)
                 grown[key] = grown.get(key, 0) + count
         classes = grown
     return classes
+
+
+def labelled_count(n: int, attach, *args) -> int:
+    """The number of labelled members on n >= 1 vertices: N(C) times
+    attach(C's key, *args), summed over the classes C on n - 1."""
+    return sum(count * attach(form, *args)
+               for form, count in grow_classes(n - 1, attach, *args).items())

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -123,9 +123,9 @@ def test_count_partite_oriented_frozen():
 
 
 def test_count_partite_matches_assignment_oracle():
-    # r = 1 has a single partition; r = 4 exceeds n for every n here, and
-    # t = 2 leaves classes that can never die, so the walk's early full
-    # count is exercised too
+    # n <= r(2t - 1) needs no class table (every r = 4 case here, and t = 2
+    # unless r = 1); the other cases grow the classes of P and attach the
+    # last vertex to each
     for mode in (DIGRAPH, ORIENTED):
         for n in range(0, 5):
             for r in (1, 2, 3, 4):
@@ -145,19 +145,58 @@ def test_count_partite_n5_frozen_values():
 
 def test_one_class_partite_count_equals_free_count():
     # with r = 1 the only partition is V itself, so count_partite counts
-    # the blowup(2, t)-free digraphs; for t = 2 every dying partition goes
+    # the blowup(2, t)-free digraphs: by its own class table and slot walk,
+    # against count_free's arc checks; for t = 2 every slot that dies goes
     # through the chain_exists recheck
     counts = {}
     for mode in (DIGRAPH, ORIENTED):
-        for n in range(6):
+        for n in range(SWEEP_BOUND[mode] + 1):
             for t in (1, 2):
                 counts[n, t, mode] = count_partite(n, 1, t, mode)
                 assert counts[n, t, mode] == count_free(n, BlowupSpec(2, t), mode), (n, t, mode)
     assert counts[5, 2, ORIENTED] == 42539
     assert counts[5, 2, DIGRAPH] == 301826
+    # frozen from the labelled partition walk that the class route replaced
+    assert counts[6, 2, ORIENTED] == 6130449
 
 
-# the pruned walk relies on these two properties of admits_partition
+def test_count_partite_oriented_n6_frozen_values():
+    # frozen from the labelled partition walk that the class route replaced
+    assert count_partite(6, 1, 1, ORIENTED) == 1
+    assert count_partite(6, 2, 1, ORIENTED) == 246603
+    assert count_partite(6, 3, 1, ORIENTED) == 6655787
+    # six vertices in at most two classes of at most three: nothing dies
+    assert count_partite(6, 2, 2, ORIENTED) == count_partite(6, 3, 2, ORIENTED) == 3 ** 15
+
+
+def bipartite_closed_form(top: int, x: int) -> list[int]:
+    """|P_{n,2,1}| for n = 0..top, where each edge of a bipartite
+    underlying graph takes x states.  b(n) = sum_k C(n, k) (1 + x)^(k(n-k))
+    counts the digraphs with a chosen 2-colouring, and each connected
+    component has two colourings, so P = sqrt(B) as exponential generating
+    functions; the square root is taken term by term, exactly."""
+    b = [Fraction(sum(comb(n, k) * (1 + x) ** (k * (n - k)) for k in range(n + 1)),
+                  factorial(n)) for n in range(top + 1)]
+    p = [Fraction(1)]
+    for n in range(1, top + 1):
+        p.append((b[n] - sum(p[k] * p[n - k] for k in range(1, n))) / 2)
+    return [int(c * factorial(n)) for n, c in enumerate(p)]
+
+
+def test_count_partite_two_classes_match_the_bipartite_closed_form():
+    # an independent route at every n up to the sweep bound, past the
+    # assignment helper's n <= 4
+    assert bipartite_closed_form(6, 2) == [1, 1, 3, 19, 249, 5881, 246603]
+    assert bipartite_closed_form(5, 3) == [1, 1, 4, 37, 829, 36616]
+    for mode, x in ((ORIENTED, 2), (DIGRAPH, 3)):
+        top = SWEEP_BOUND[mode]
+        assert [count_partite(n, 2, 1, mode) for n in range(top + 1)] == \
+            bipartite_closed_form(top, x), mode
+
+
+# count_partite's class route rests on these properties of
+# admits_partition: a slot stays dead once an arc kills it, the classes of
+# P on m + 1 vertices come from those on m, and a class is one relabelling
 digraphs = st.integers(min_value=0, max_value=6).flatmap(
     lambda n: st.lists(st.integers(0, 3), min_size=comb(n, 2), max_size=comb(n, 2))
     .map(lambda states: Digraph(n, tuple(states))))
@@ -166,12 +205,16 @@ digraphs = st.integers(min_value=0, max_value=6).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(g=digraphs, r=st.integers(1, 3), t=st.integers(1, 2), data=st.data())
 def test_admits_partition_inherited_by_arc_deletion(g, r, t, data):
+    # and by vertex deletion: a good partition restricts to G - w
+    assume(g.n)
+    w = data.draw(st.integers(0, g.n - 1))
+    smaller = [g.induced([v for v in range(g.n) if v != w])]
     arcs = list(g.arcs())
-    assume(arcs)
-    u, v = data.draw(st.sampled_from(arcs))
-    smaller = Digraph.from_arcs(g.n, [a for a in arcs if a != (u, v)])
+    if arcs:
+        u, v = data.draw(st.sampled_from(arcs))
+        smaller.append(Digraph.from_arcs(g.n, [a for a in arcs if a != (u, v)]))
     if admits_partition(g, r, t):
-        assert admits_partition(smaller, r, t)
+        assert all(admits_partition(h, r, t) for h in smaller)
 
 
 @settings(max_examples=150, deadline=None)

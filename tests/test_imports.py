@@ -10,7 +10,9 @@ A module-level function, class or assignment whose name starts with `_`
 must be read by some other top-level statement of the package, so a
 helper left behind when its last caller goes is caught.  The oracle is
 the independent check on `embed`, `search` and `census`, so it may not
-import them, directly or through the package.
+import them, directly or through the package; `orbits`, the class route
+that census takes, imports only `core`, `embed` and `search`, so the two
+share nothing but `core`.
 """
 
 from __future__ import annotations
@@ -132,3 +134,10 @@ def test_oracle_imports_only_core():
     # the oracle checks the search code, so it must share none of it
     source = (SRC / "oracle.py").read_text(encoding="utf-8")
     assert package_imports(source) == {"core"}
+
+
+def test_orbits_imports_only_the_search_side():
+    # the class route past the sweep bound is checked against the oracle's
+    # labelled route, so it may share no code with it but `core`
+    source = (SRC / "orbits.py").read_text(encoding="utf-8")
+    assert package_imports(source) <= {"core", "embed", "search"}

@@ -212,12 +212,17 @@ def test_sweep_capacity_bounds():
 
 def test_sweep_normalises_n_to_int():
     # n goes through core._ints: integer types are kept, a float is refused
-    # with ValueError, and so are the naive routes that hand n on
+    # with ValueError, and so are the naive routes that hand n on and the
+    # two per-graph decoders
     assert sweep(np.int64(3), BlowupSpec(2, 1), DIGRAPH) is sweep(3, BlowupSpec(2, 1), DIGRAPH)
     assert type(sweep(np.int64(3), BlowupSpec(2, 1), DIGRAPH).n) is int
     assert type(extremal_naive(np.int64(3), BlowupSpec(3, 1), Weight.rational(2)).n) is int
+    assert graph_from_index(np.int64(3), DIGRAPH, 5) == graph_from_index(3, DIGRAPH, 5)
+    assert len(list(iter_digraphs(np.int64(2)))) == 4
     for call in (lambda: sweep(3.0, BlowupSpec(2, 1), DIGRAPH),
                  lambda: extremal_naive(3.0, BlowupSpec(3, 1), Weight.rational(2)),
-                 lambda: count_free_naive(3.0, BlowupSpec(3, 1))):
+                 lambda: count_free_naive(3.0, BlowupSpec(3, 1)),
+                 lambda: graph_from_index(3.0, DIGRAPH, 0),
+                 lambda: list(iter_digraphs(2.0))):
         with pytest.raises(ValueError, match="n must be integers"):
             call()

@@ -287,11 +287,12 @@ def _swapped(g: Digraph, i: int) -> Digraph:
 @settings(max_examples=80, deadline=None)
 @given(g=digraphs(2, 7), r=st.integers(1, 3), t=st.integers(1, 2), data=st.data())
 def test_reversal_and_adjacent_swaps_keep_freeness_and_partitions(g, r, t, data):
-    # the two facts behind the walks' mirror rule: reversing every arc, or
-    # swapping i and i + 1, maps each copy of a T_k^t to a copy, and
-    # reversal keeps every class of a partition free of T_2^t.  Each
+    # the fact behind extremal's mirror rule: reversing every arc, or
+    # swapping i and i + 1, maps each copy of a T_k^t to a copy.  Each
     # pattern is tried on g, on a free digraph grown from g's states and on
-    # that one with one more arc, which sits at the threshold
+    # that one with one more arc, which sits at the threshold.  Reversal
+    # also keeps every class of a partition free of T_2^t, which is checked
+    # here as a property of admits_partition alone
     n = g.n
     for spec in SPECS:
         free = _greedy_free(n, g.states, spec)
