@@ -6,32 +6,34 @@ classes of free digraphs on n - 1 vertices are grown one vertex at a
 time, each with N(C), the number of labelled free digraphs in it, and
 f(n) is the sum over those classes of N(C) * ext(C), where ext(C)
 counts the ways to attach vertex n - 1 to C's canonical form and stay
-free.  An attachment is `search._free_walk` over the pairs (0, n - 1)
-... (n - 2, n - 1), the walk that also carries the `extremal` branch
-and bound: it abandons an attachment the moment a newly added arc
-completes a copy (adding further arcs can never remove one, so nothing
-below a hit is free).  The last level needs no canonical form.  The
-unpruned cross-check `count_free_naive` delegates to the vectorised
-sweep in `oracle`.
+free.  The attachment walk, `_free_attachments`, is `search._free_walk`
+over the pairs (0, n - 1) ... (n - 2, n - 1), the walk that also
+carries the `extremal` branch and bound: it abandons an attachment the
+moment a newly added arc completes a copy (adding further arcs can
+never remove one, so nothing below a hit is free).  The last level
+needs no canonical form.  The unpruned cross-check `count_free_naive`
+delegates to the vectorised sweep in `oracle`.
 
 count_partite(n, r, t, mode) counts labelled digraphs admitting *some*
 partition into at most r classes, each class inducing a blowup(2, t)-free
 subdigraph; call that family P.  It takes the same class route as
-count_free (`orbits.grow_classes`), with its own attachment walk.  A good
-partition stays good under relabelling and restricts to a good partition
-of G - v, so a digraph on m + 1 vertices is in P exactly when G - m has
-a good partition with a class c (or an empty slot, when the partition
-uses fewer than r classes) such that c plus m is still blowup(2, t)-free.
-The walk starts from the slots of a class C, the classes of C's good
-partitions, plus 0 when a good partition uses fewer than r classes.  It
-decides the pairs (0, m) ... (m - 1, m) over PAIR_CHOICES; an arc at
-(i, m) kills a live slot holding i, always for t = 1 (the arc is the
-copy) and for t >= 2 when `chain_exists` finds a copy in the slot plus m.
-Adding arcs never removes a copy, so a dead slot stays dead and a subtree
-with no live slot is worth 0.  When counting, a live slot that can no
-longer die (no member at i or later, or fewer than 2t - 1 members) makes
-the whole subtree count.  For n <= r(2t - 1) some partition has classes
-of fewer than 2t vertices, and every digraph is in P.  The per-graph test
+count_free (`orbits.grow_classes`), with its own attachment walk,
+`_partite_attachments`; `orbits` holds only the family-agnostic loop, so
+this module owns both walks.  A good partition stays good under
+relabelling and restricts to a good partition of G - v, so a digraph on
+m + 1 vertices is in P exactly when G - m has a good partition with a
+class c (or an empty slot, when the partition uses fewer than r classes)
+such that c plus m is still blowup(2, t)-free.  The walk starts from the
+slots of a class C, the classes of C's good partitions, plus 0 when a
+good partition uses fewer than r classes.  It decides the pairs (0, m)
+... (m - 1, m) over PAIR_CHOICES; an arc at (i, m) kills a live slot
+holding i, always for t = 1 (the arc is the copy) and for t >= 2 when
+`chain_exists` finds a copy in the slot plus m.  Adding arcs never
+removes a copy, so a dead slot stays dead and a subtree with no live
+slot is worth 0.  When counting, a live slot that can no longer die (no
+member at i or later, or fewer than 2t - 1 members) makes the whole
+subtree count.  For n <= r(2t - 1) some partition has classes of fewer
+than 2t vertices, and every digraph is in P.  The per-graph test
 `admits_partition` decides the same property from scratch (a memoised
 cover search over good vertex subsets) and serves as its independent
 check.
@@ -68,16 +70,14 @@ from .core import (
     turan_edges,
 )
 from .embed import chain_exists
-from .orbits import attachments, labelled_count
-from .search import PAIR_CHOICES, extremal
+from .orbits import labelled_count
+from .search import PAIR_CHOICES, _free_walk, extremal
 
 
 def _check_census_capacity(n: int, mode: str, what: str) -> int:
     """n as an int, once the mode is known and n is within the sweep bound."""
     require_mode(mode)
-    (n,) = _ints((n,), "n")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    (n,) = _ints((n,), "n", 0)
     bound = oracle.SWEEP_BOUND[mode]
     if n > bound:
         raise CapacityError(
@@ -85,6 +85,14 @@ def _check_census_capacity(n: int, mode: str, what: str) -> int:
             f"n = {bound} in {mode} mode (got n = {n})"
         )
     return n
+
+
+def _free_attachments(out, spec: BlowupSpec, mode: str, found: list | None = None) -> int:
+    """Number of ways to attach a new vertex m = len(out) to the
+    spec-free digraph with out-masks `out` so that it stays spec-free.
+    Given found, the out-masks of each result are appended to it."""
+    m = len(out)
+    return _free_walk(m + 1, spec, mode, [*out, 0], [(i, m) for i in range(m)], found)[0]
 
 
 def count_free(n: int, spec: BlowupSpec, mode: str = DIGRAPH) -> int:
@@ -97,8 +105,7 @@ def count_free(n: int, spec: BlowupSpec, mode: str = DIGRAPH) -> int:
     digraph n = 5 takes about 0.026 s, T_2^2 at digraph n = 5 and T_3^1
     at oriented n = 6 about 0.06 s each, T_2^2 at oriented n = 6 about
     0.18 s, and T_3^2 at oriented n = 6 (14,346,477 free digraphs, 582
-    classes on five vertices) about 0.32 s, against 7.0 s for the
-    labelled walk this replaced.
+    classes on five vertices) about 0.32 s.
     """
     n = _check_census_capacity(n, mode, "count_free")
     total = len(PAIR_CHOICES[mode]) ** len(pair_list(n))
@@ -108,7 +115,7 @@ def count_free(n: int, spec: BlowupSpec, mode: str = DIGRAPH) -> int:
     if spec.vertex_count > n:
         # the pattern cannot fit, so every digraph counts
         return total
-    return labelled_count(n, attachments, spec, mode)
+    return labelled_count(n, _free_attachments, spec, mode)
 
 
 def count_free_naive(n: int, spec: BlowupSpec, mode: str = DIGRAPH) -> int:
@@ -148,10 +155,7 @@ def _admits(out_masks, n: int, r: int, t: int) -> bool:
 def admits_partition(g: Digraph, r: int, t: int) -> bool:
     """Can V(G) be split into at most r classes, each inducing a
     blowup(2, t)-free subdigraph?  (Empty classes are fine.)"""
-    r, t = _ints((r, t), "r and t")
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    BlowupSpec(2, t)  # validate t
+    r, t = _ints((r, t), "r and t", 1)
     return _admits(g.out_masks, g.n, r, t)
 
 
@@ -216,15 +220,11 @@ def _partite_attachments(out, r: int, t: int, mode: str, found: list | None = No
 def count_partite(n: int, r: int, t: int, mode: str = DIGRAPH) -> int:
     """Number of labelled digraphs on n vertices admitting an r-partition
     with every class blowup(2, t)-free, by class (module docstring).
-    Fresh process, medians of five runs on a shared 2-core Xeon VM,
-    against the labelled partition walk this replaced: oriented (6, 3, 1)
-    0.15 s (2.8 s), oriented (6, 1, 2) 0.46 s (16.7 s), digraph (5, 1, 2)
-    0.13 s (1.0 s)."""
+    Fresh process, medians of five runs on a shared 2-core Xeon VM:
+    oriented (6, 3, 1) 0.15 s, oriented (6, 1, 2) 0.46 s, digraph
+    (5, 1, 2) 0.13 s."""
     n = _check_census_capacity(n, mode, "count_partite")
-    r, t = _ints((r, t), "r and t")
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    BlowupSpec(2, t)  # validate t
+    r, t = _ints((r, t), "r and t", 1)
     if n <= r * (2 * t - 1):
         # classes of fewer than 2t vertices cannot hold a copy of T_2^t
         return len(PAIR_CHOICES[mode]) ** len(pair_list(n))
@@ -235,12 +235,8 @@ def lower_bound_partite(n: int, r: int, t: int) -> int:
     """Constructive lower bound 3^(t_r(n)) * 2^E on the oriented
     partition count; E = oriented maximum arc count of a blowup(2, t)-free
     graph on floor(n/r) vertices."""
-    (n,) = _ints((n,), "n")
-    r, t = _ints((r, t), "r and t")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
+    (n,) = _ints((n,), "n", 0)
+    r, t = _ints((r, t), "r and t", 1)
     inner = extremal(n // r, BlowupSpec(2, t), Weight.rational(2), mode=ORIENTED)
     return 3 ** turan_edges(n, r) * 2 ** inner.best.f1
 
@@ -271,6 +267,7 @@ class CensusReport:
 
 def ratio_report(n: int, r: int, t: int, mode: str = DIGRAPH) -> CensusReport:
     """Assemble free/partite counts, their exact ratio, and the lower bound."""
+    r, t = _ints((r, t), "r and t", 1)
     spec = BlowupSpec(r + 1, t)
     free = count_free(n, spec, mode)
     part = count_partite(n, r, t, mode)

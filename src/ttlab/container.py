@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import log
 
-from .core import BlowupSpec, CapacityError, Digraph, encode
+from .core import BlowupSpec, CapacityError, Digraph, _ints, encode
 
 DENSITY_MAX_VERTICES = 10  # vertex-subset enumeration cap (k*t above this refused)
 
@@ -92,8 +92,7 @@ def density_m(spec: BlowupSpec) -> DensityResult:
 def container_exponent(n: int, spec: BlowupSpec) -> ContainerBound:
     """The exponent 2 - 1/m(H) and the bound shape c * N^(2-1/m) * log N
     evaluated at N = n (natural log; the constant c stays symbolic)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    (n,) = _ints((n,), "n", 1)
     d = density_m(spec)
     exponent = 2 - Fraction(1) / d.m
     return ContainerBound(

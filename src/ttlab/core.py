@@ -60,16 +60,22 @@ class TdgParseError(ValueError):
         self.position = position
 
 
-def _ints(values, what: str) -> tuple[int, ...]:
-    """values as ints; ValueError naming `what` unless each is an integer.
+def _ints(values, what: str, least: int | None = None) -> tuple[int, ...]:
+    """values as ints; ValueError naming `what` unless each is an integer,
+    and, given least, unless each is at least `least`.
 
     operator.index keeps bools and numpy integers and refuses floats and
     strings, so arguments that compare equal give digraphs, indices and
-    encodings that are equal too."""
+    encodings that are equal too.  Every size argument of the package
+    (n, k, r, t) is checked here, once, so a bad one fails the same way
+    at every entry point."""
     try:
-        return tuple(map(operator.index, values))
+        ints = tuple(map(operator.index, values))
     except TypeError as exc:
         raise ValueError(f"{what} must be integers: {exc}") from None
+    if least is not None and min(ints) < least:
+        raise ValueError(f"{what} must be at least {least}, got {', '.join(map(str, ints))}")
+    return ints
 
 
 def require_mode(mode: str) -> str:
@@ -82,9 +88,10 @@ def require_mode(mode: str) -> str:
 # unordered pairs in lexicographic order
 # ======================================================================
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 3.0 may not hit the entry of 3
 def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     """All pairs (i, j), i < j, in the canonical lexicographic order."""
+    (n,) = _ints((n,), "n", 0)
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
@@ -122,9 +129,7 @@ class Digraph:
     __slots__ = ("n", "states", "out_masks", "in_masks", "f1", "f2", "_hash")
 
     def __init__(self, n: int, states: tuple[int, ...] = ()):
-        (n,) = _ints((n,), "the vertex count")
-        if n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        (n,) = _ints((n,), "the vertex count", 0)
         if n > MAX_VERTICES:
             raise CapacityError(f"{n} vertices exceeds the capacity bound {MAX_VERTICES}")
         states = _ints(states, "pair states")
@@ -153,11 +158,13 @@ class Digraph:
 
     @classmethod
     def empty(cls, n: int) -> "Digraph":
+        (n,) = _ints((n,), "the vertex count", 0)
         return cls(n, (NO_ARC,) * comb(n, 2))
 
     @classmethod
     def from_arcs(cls, n: int, arcs) -> "Digraph":
         """Build a digraph from an iterable of (u, v) arcs, u -> v."""
+        (n,) = _ints((n,), "the vertex count", 0)
         states = [NO_ARC] * comb(n, 2)
         for u, v in arcs:
             if u == v or not (0 <= u < n and 0 <= v < n):
@@ -250,11 +257,9 @@ class BlowupSpec:
 
     def __post_init__(self):
         # ints, so specs that compare equal print and hash alike
-        k, t = _ints((self.k, self.t), "k and t")
+        k, t = _ints((self.k, self.t), "k and t", 1)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "t", t)
-        if self.k < 1 or self.t < 1:
-            raise ValueError(f"need k >= 1 and t >= 1, got k={self.k}, t={self.t}")
 
     @property
     def vertex_count(self) -> int:
@@ -286,27 +291,24 @@ def blowup(k: int, t: int) -> Digraph:
 
 def turan_part_sizes(n: int, r: int) -> list[int]:
     """Balanced part sizes for an r-partition of n vertices, larger first."""
-    n, r = _ints((n, r), "n and r")
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    (n,) = _ints((n,), "n", 0)
+    (r,) = _ints((r,), "r", 1)
     q, rem = divmod(n, r)
     return [q + 1] * rem + [q] * (r - rem)
 
 
 def turan_edges(n: int, r: int) -> int:
     """Edge count t_r(n) of the balanced complete r-partite graph."""
-    n, r = _ints((n, r), "n and r")
-    return comb(n, 2) - sum(comb(s, 2) for s in turan_part_sizes(n, r))
+    sizes = turan_part_sizes(n, r)
+    return comb(sum(sizes), 2) - sum(comb(s, 2) for s in sizes)
 
 
 def make_dtr(n: int, r: int) -> Digraph:
     """Bidirected Turan digraph: balanced complete r-partite, every edge a
     digon.  Parts are consecutive vertex blocks, larger parts first, so
     the construction (and its encoding) is canonical."""
-    n, r = _ints((n, r), "n and r")
     part = turan_partition(n, r).assign
+    n = len(part)
     if n > MAX_VERTICES:
         raise CapacityError(f"{n} vertices exceeds the capacity bound {MAX_VERTICES}")
     states = tuple(
@@ -334,11 +336,9 @@ class Partition:
 
     def __post_init__(self):
         # ints throughout keep the frozen class hashable and its masks sound
-        (r,) = _ints((self.r,), "r")
+        (r,) = _ints((self.r,), "r", 1)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "assign", _ints(self.assign, "the classes"))
-        if self.r < 1:
-            raise ValueError(f"need r >= 1, got r={self.r}")
         for v, c in enumerate(self.assign):
             if not 0 <= c < self.r:
                 raise ValueError(f"vertex {v} assigned to class {c}, outside 0..{self.r - 1}")

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import BlowupSpec, CapacityError, Digraph, Partition
+from .core import BlowupSpec, CapacityError, Digraph, Partition, _ints
 
 COUNT_MAX_VERTICES = 10  # exhaustive embedding counts refuse larger hosts
 
@@ -312,5 +312,5 @@ def partition_ok(g: Digraph, p: Partition, t: int) -> bool:
     """True iff every class of P induces a blowup(2, t)-free subdigraph."""
     if p.n != g.n:
         raise ValueError(f"partition covers {p.n} vertices, digraph has {g.n}")
-    spec = BlowupSpec(2, t)  # validates t >= 1
-    return not any(chain_exists(g.out_masks, mask, spec.k, spec.t) for mask in p.class_masks())
+    (t,) = _ints((t,), "t", 1)
+    return not any(chain_exists(g.out_masks, mask, 2, t) for mask in p.class_masks())

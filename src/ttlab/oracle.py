@@ -96,7 +96,7 @@ def iter_digraphs(n: int, mode: str = DIGRAPH):
     Pure-python companion to the numpy sweep, for small-n cross-checks.
     """
     require_mode(mode)
-    (n,) = _ints((n,), "n")
+    (n,) = _ints((n,), "n", 0)
     radix = _RADIX[mode]
     for states in product(range(radix), repeat=comb(n, 2)):
         yield Digraph(n, states)
@@ -106,7 +106,7 @@ def graph_from_index(n: int, mode: str, index: int) -> Digraph:
     """The digraph numbered `index` in the given mode (module docstring);
     ValueError unless 0 <= index < radix**C(n,2)."""
     require_mode(mode)
-    (n,) = _ints((n,), "n")
+    (n,) = _ints((n,), "n", 0)
     radix = _RADIX[mode]
     npairs = comb(n, 2)
     if not 0 <= index < radix ** npairs:
@@ -319,9 +319,7 @@ def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1) -> SweepSummary
     if threads != 1:
         raise ValueError(f"sweep runs serially; threads must be 1, got {threads}")
     require_mode(mode)
-    (n,) = _ints((n,), "n")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    (n,) = _ints((n,), "n", 0)
     if n > SWEEP_BOUND[mode]:
         raise CapacityError(
             f"naive enumeration is capped at n = {SWEEP_BOUND[mode]} in {mode} mode (got n = {n})"

@@ -13,9 +13,9 @@ class.  So each attachment to the key that stays in the family adds N(C)
 to the entry of its canonical form on m + 1 vertices, and the sum over C
 of N(C) times those attachments is the labelled count on m + 1 vertices
 (`labelled_count`, which needs no canonical form at that last level).
-One loop serves both families, given the attachment walk: for freeness
-it is `search._free_walk` over the pairs (0, m) ... (m - 1, m) from the
-key's out-masks (`attachments`), and `census` has the partite one.  This
+One loop serves both families, given the attachment walk, and `census`
+owns both walks (`_free_attachments` and `_partite_attachments`), so
+this module knows no family and imports no other ttlab module.  This
 is isomorph-free generation (B. D. McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998), with the class set stored instead
 of canonical augmentation.
@@ -39,9 +39,6 @@ of the class.
 from __future__ import annotations
 
 from itertools import permutations, product
-
-from .core import BlowupSpec
-from .search import _free_walk
 
 
 def canonical_form(out) -> tuple[int, ...]:
@@ -93,14 +90,6 @@ def canonical_form(out) -> tuple[int, ...]:
         if best is None or form < best:
             best = form
     return best
-
-
-def attachments(out, spec: BlowupSpec, mode: str, found: list | None = None) -> int:
-    """Number of ways to attach a new vertex m = len(out) to the
-    spec-free digraph with out-masks `out` so that it stays spec-free.
-    Given found, the out-masks of each result are appended to it."""
-    m = len(out)
-    return _free_walk(m + 1, spec, mode, [*out, 0], [(i, m) for i in range(m)], found)[0]
 
 
 def grow_classes(m: int, attach, *args) -> dict[tuple[int, ...], int]:

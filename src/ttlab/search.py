@@ -3,8 +3,8 @@
 extremal(n, spec, a) maximises the weighted size a*f2 + f1 over all
 digraphs on n vertices containing no copy of blowup(spec.k, spec.t).
 The search is a branch and bound over pair states, run on `_free_walk`,
-the depth-first walk over free digraphs that `orbits` also uses to
-attach a vertex to each isomorphism class of `census.count_free`:
+the depth-first walk over free digraphs that `census` also uses to
+attach a vertex to each isomorphism class of `count_free`:
 
 * pairs are decided in the canonical lexicographic order, states tried
   densest-first (BOTH, FWD, BWD, NO_ARC; oriented mode drops BOTH), as
@@ -124,8 +124,9 @@ def _free_walk(n: int, spec: BlowupSpec, mode: str, out: list[int], pairs,
     copy is free, so every leaf reached is free.  Returns
     (leaves, explored), where explored counts the root and every child
     entered; given found, each leaf's out-masks are appended to it as a
-    tuple.  `orbits` walks the pairs (0, m) ... (m - 1, m) from the masks
-    of a class on m vertices, to attach vertex m.
+    tuple.  `census._free_attachments` walks the pairs (0, m) ...
+    (m - 1, m) from the masks of a class on m vertices, to attach vertex
+    m.
 
     The walk keeps the in-masks `inn` beside the out-masks `out`, and the
     arc check reads both.  A child of pair (i, j) sets the bits of its
@@ -240,9 +241,9 @@ def extremal(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> Extrem
     contains it, so no maximum exists.
     """
     require_mode(mode)
-    (n,) = _ints((n,), "n")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    if not isinstance(a, Weight):
+        raise ValueError(f"the weight must be a Weight, got {a!r}")
+    (n,) = _ints((n,), "n", 0)
     if n > MAX_VERTICES:
         raise CapacityError(f"{n} vertices exceeds the capacity bound {MAX_VERTICES}")
     if spec.k < 2:
@@ -304,6 +305,8 @@ def extremal_naive(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> 
     witness is the encode-minimal optimum over *all* graphs, and
     `explored` is the full state-space size.
     """
+    if not isinstance(a, Weight):
+        raise ValueError(f"the weight must be a Weight, got {a!r}")
     summary = oracle.sweep(n, spec, mode)
     n = summary.n
     if not summary.frontier:
@@ -337,8 +340,7 @@ def edit_distance_to_dtr(g: Digraph, r: int) -> EditDistanceResult:
     earlier vertex already in p; the arcs between v and p are two
     popcounts on the part's member mask.
     """
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
+    (r,) = _ints((r,), "r", 1)
     n = g.n
     if n > EDIT_MAX_VERTICES:
         raise CapacityError(
