@@ -64,6 +64,7 @@ from .core import (
     CapacityError,
     Digraph,
     Weight,
+    _instance,
     _ints,
     pair_list,
     require_mode,
@@ -108,6 +109,7 @@ def count_free(n: int, spec: BlowupSpec, mode: str = DIGRAPH) -> int:
     classes on five vertices) about 0.32 s.
     """
     n = _check_census_capacity(n, mode, "count_free")
+    _instance(spec, BlowupSpec, "spec")
     total = len(PAIR_CHOICES[mode]) ** len(pair_list(n))
     if spec.k == 1:
         # no arcs needed: the pattern sits in any digraph with >= t vertices

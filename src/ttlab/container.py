@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import log
 
-from .core import BlowupSpec, CapacityError, Digraph, _ints, encode
+from .core import BlowupSpec, CapacityError, Digraph, _instance, _ints, encode
 
 DENSITY_MAX_VERTICES = 10  # vertex-subset enumeration cap (k*t above this refused)
 
@@ -51,6 +51,7 @@ def density_m(spec: BlowupSpec) -> DensityResult:
     induced subgraph.  Patterns with fewer than two arcs (k = 1, or
     k = 2 with t = 1) have no qualifying subgraph and are refused.
     """
+    _instance(spec, BlowupSpec, "spec")
     if spec.vertex_count > DENSITY_MAX_VERTICES:
         raise CapacityError(
             f"density enumerates vertex subsets and is capped at "

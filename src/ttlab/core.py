@@ -78,6 +78,14 @@ def _ints(values, what: str, least: int | None = None) -> tuple[int, ...]:
     return ints
 
 
+def _instance(value, cls: type, what: str) -> None:
+    """ValueError naming `what` unless value is a `cls`.  Every spec and
+    weight argument of the package is checked here, once, as sizes are in
+    `_ints`."""
+    if not isinstance(value, cls):
+        raise ValueError(f"the {what} must be a {cls.__name__}, got {value!r}")
+
+
 def require_mode(mode: str) -> str:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import BlowupSpec, CapacityError, Digraph, Partition, _ints
+from .core import BlowupSpec, CapacityError, Digraph, Partition, _instance, _ints
 
 COUNT_MAX_VERTICES = 10  # exhaustive embedding counts refuse larger hosts
 
@@ -195,6 +195,7 @@ def _chain(out_masks, allowed: int, levels: int, t: int, memo: dict, pending: tu
 
 def is_free(g: Digraph, spec: BlowupSpec) -> bool:
     """True iff G contains no copy of blowup(spec.k, spec.t)."""
+    _instance(spec, BlowupSpec, "spec")
     return not chain_exists(g.out_masks, (1 << g.n) - 1, spec.k, spec.t)
 
 

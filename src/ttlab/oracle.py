@@ -23,26 +23,31 @@ string of each half once (at most 3^8 = 6,561 or 4^5 = 1,024 rows), and
 a block of graphs is a run of whole high rows.  Every graph is still
 decoded and tested.
 
-Bit layout: the table tests 64 graphs per machine word.  Each directed
-arc (u, v) has one packed uint64 column per block, one bit per graph.
-The L low rows are padded to whole words, Lw = ceil(L / 64) words or
-Lp = 64 * Lw bits, so high row h of the block starting at h0 holds words
-(h - h0) * Lw .. (h - h0 + 1) * Lw - 1, and bit (h - h0) * Lp + l is
-graph h * L + l.  The index stays hi * L + lo: ascending index is encode
-order within a block, and blocks come in ascending order.  An arc lies in
-one half only.  A low arc's words are packed once per sweep and tiled to
-a block's high rows; a high arc's word is all ones or all zeros, repeated
-Lw times per high row.  The Lp - L padding bits of each row are marked
-off by a column `valid`, which cuts every answer, so no padding bit is
-ever set in an answer or counted.
+Bit layout: the table tests 64 graphs per machine word.  A block of
+high rows h0 .. h1 - 1 is a (h1 - h0, Lw) array of uint64 words: the L
+low rows are packed in ascending cell order (see Cells), order[p] being
+the p-th, and padded to whole words, Lw = ceil(L / 64); bit p % 64 of
+word (h - h0, p // 64) is graph h * L + order[p].  So row h - h0 holds
+graphs h * L .. h * L + L - 1 and blocks come in ascending index order.
+An arc lies in one half only, so each arc column takes the shape it
+varies over and numpy broadcasts the rest: a low arc is Lw words, shape
+(Lw,), which broadcasts as one row, packed once per sweep; a high arc is
+one word per high row, all ones or all zeros, shape (h1 - h0, 1).  Only
+a table entry that mixes the halves holds a whole (h1 - h0, Lw) array.
+The 64 * Lw - L padding bits of each row are marked off by `valid`,
+shape (Lw,), which cuts every answer, so no padding bit is ever set in
+an answer or counted.
 
 Cells: a graph's cell is f2 * w + f1 with w = P + 1.  f1 and f2 add over
-the two halves, so each half keeps an int16 cell per row, and a block's
-cells are the sum-outer of the two, built a few high rows at a time next
-to the free bits unpacked from the table's answer.  The frontier is read
-off one table over the cells.  A cell is written once, when its first
-free graph turns up, with that graph's index; blocks ascend, so the first
-index kept for each cell is its smallest.
+the two halves, so each half keeps an int16 cell per row, and a graph's
+cell is the sum of its rows' cells.  Each low cell is one run of bits in
+every row of a block, so a block's free graphs are tallied per high row
+and low cell by summing runs of the unpacked answer, and a tally's cell
+is the sum of the two.  The frontier is read off one table over the
+cells.  A cell is written once, when its first free graph turns up, with
+that graph's index: blocks and their rows ascend, and a run holds its
+low rows in ascending index, so the first index kept for each cell is
+its smallest.
 
 Capacity: oriented mode up to n = 6, digraph mode up to n = 5.  Above
 that the sweep refuses rather than grind.
@@ -63,6 +68,7 @@ from .core import (
     BlowupSpec,
     CapacityError,
     Digraph,
+    _instance,
     _ints,
     pair_list,
     require_mode,
@@ -157,7 +163,9 @@ def _contains_chunk(arcs, valid, k, t):
     """Packed column: which graphs of a block contain blowup(k, t).
 
     arcs are the block's packed arc columns (n = len(arcs), possibly 0)
-    and valid marks its graphs.  chains[used] is the column of graphs in
+    and valid marks its graphs; they may take any shapes that broadcast
+    together (a sweep's are (rows, 1) and (Lw,)), and the answer has
+    their broadcast shape.  chains[used] is the column of graphs in
     which the vertex set used splits into a chain of t-sets (None: every
     graph).  Level 1 holds every t-set; a level adds a t-set S outside
     used where every vertex of used has the arc to every vertex of S,
@@ -168,13 +176,14 @@ def _contains_chunk(arcs, valid, k, t):
     once, at the end, and no padding bit of it is set.
     """
     n = len(arcs)
+    found = np.zeros(np.broadcast_shapes(
+        valid.shape, *(col.shape for row in arcs for col in row if col is not None)), valid.dtype)
     if k * t > n:
-        return np.zeros_like(valid)
+        return found
     if k == 1:
-        return valid.copy()
+        return found | valid
     sets = [sum(1 << v for v in verts) for verts in combinations(range(n), t)]
     chains = dict.fromkeys(sets)
-    found = np.zeros_like(valid)
     for level in range(2, k + 1):
         grown = {}
         for used, col in chains.items():
@@ -221,10 +230,12 @@ def _decode_tables(n, mode):
     A half's row is the graph with the other half's pairs in state 0,
     which adds no arc.  So each arc of graph g comes from one half's row,
     and g's cell f2 * w + f1 (w = P + 1) is the sum of its rows' cells.
-    Returns (hi_arcs, hi_cell) and (lo_arcs, lo_valid, lo_cell):
+    Returns (hi_arcs, hi_cell) and (lo_arcs, lo_valid, lo_cell, order):
     - hi_arcs[u][v] holds one word per high row, all ones where the row
       has the arc u -> v and all zeros where not;
-    - lo_arcs and lo_valid are the low rows packed (`_packed_arcs`);
+    - order lists the low rows by ascending cell, each cell's by index;
+      lo_arcs and lo_valid (`_packed_arcs`) and lo_cell hold them in
+      that order;
     - each cell column holds one int16 per row of its half.
     An arc column is None in the half that does not hold its pair.
     """
@@ -240,60 +251,39 @@ def _decode_tables(n, mode):
         single = ((states == 1) | (states == 2)).sum(axis=1, dtype=np.int16)
         halves.append((states, (states == 3).sum(axis=1, dtype=np.int16) * (npairs + 1) + single))
     (hi_states, hi_cell), (lo_states, lo_cell) = halves
+    order = np.argsort(lo_cell, kind="stable")
     outs = _out_columns(hi_states, n)
-    lo_arcs, lo_valid = _packed_arcs(lo_states, n)
+    lo_arcs, lo_valid = _packed_arcs(lo_states[order], n)
     hi_arcs = [[None] * n for _ in range(n)]
     for i, j in pair_list(n)[:npairs - m]:
         for u, v in ((i, j), (j, i)):
             hi_arcs[u][v] = -(outs[u] >> v & 1).astype(np.uint64)  # -1 wraps to all ones
             lo_arcs[u][v] = None
-    return (hi_arcs, hi_cell), (lo_arcs, lo_valid, lo_cell)
-
-
-def _tile(lo, rows):
-    """lo's packed columns repeated `rows` times: the low half of a block
-    of `rows` high rows, and a prefix of it for any smaller block."""
-    lo_arcs, lo_valid, lo_cell = lo
-    return ([[None if col is None else np.tile(col, rows) for col in row] for row in lo_arcs],
-            np.tile(lo_valid, rows), lo_cell)
+    return (hi_arcs, hi_cell), (lo_arcs, lo_valid, lo_cell[order], order)
 
 
 def _block(hi, lo, h0, h1):
-    """Packed arc columns and valid column of high rows h0 .. h1 - 1
-    crossed with every low row, lo `_tile`d for at least h1 - h0 rows.
-
-    High row h takes words (h - h0) * Lw .. (h - h0 + 1) * Lw - 1 of each
-    column, Lw = ceil(L / 64) for L low rows, so bit (h - h0) * 64 * Lw + l
-    is graph h * L + l.  A low arc's column is a slice of lo's, a high
-    arc's its high row's word repeated Lw times."""
-    (hi_arcs, _), (lo_arcs, lo_valid, lo_cell) = hi, lo
-    lw = -(-lo_cell.shape[0] // 64)
-    end = (h1 - h0) * lw
-
-    def column(hi_col, lo_col):
-        if lo_col is not None:
-            return lo_col[:end]
-        return None if hi_col is None else np.repeat(hi_col[h0:h1], lw)
-
-    arcs = [[column(*cols) for cols in zip(*rows)] for rows in zip(hi_arcs, lo_arcs)]
-    return arcs, lo_valid[:end]
+    """Arc columns and valid column of high rows h0 .. h1 - 1 crossed with
+    every low row, each in the shape it varies over and none copied: a
+    high arc's column is the view hi_col[h0:h1, None], shape (h1 - h0, 1),
+    and a low arc's column and valid are lo's own, shape (Lw,) for L low
+    rows, Lw = ceil(L / 64).  Broadcast together they give the
+    block's (h1 - h0, Lw) words, in which bit p % 64 of word
+    (h - h0, p // 64) is graph h * L + order[p] (`_decode_tables`)."""
+    (hi_arcs, _), (lo_arcs, lo_valid, *_) = hi, lo
+    return [[lo_col if hi_col is None else hi_col[h0:h1, None] for hi_col, lo_col in zip(*rows)]
+            for rows in zip(hi_arcs, lo_arcs)], lo_valid
 
 
 # About how many graphs each block holds, rounded down to whole high-table
 # rows (see the module docstring), at least one.  The seven `oracle_sweep`
-# benchmark jobs took, in all (median of five fresh-process runs on a
-# 2-core Xeon VM, with the process's peak RSS): 0.245 s and 34.2 MB at
-# 2^15 graphs a block, 0.152 s and 34.1 MB at 2^16, 0.113 s and 34.5 MB
-# at 2^17, 0.095 s and 35.2 MB at 2^18, with the earlier ordered chain
-# walk.  Per-call overhead favours big blocks and columns cost memory, so
-# 2^17 keeps peak RSS at that of the one-byte-per-graph walk before it
-# (34.4 MB at 2^15, where it took 0.380 s).
-_BLOCK = 1 << 17
-# About how many graphs of a block are unpacked to bools and cells at a
-# time, in whole high rows, at least one.  At 2^17 graphs a block the
-# seven jobs peaked at 34.5 MB unpacking 2^15 graphs at a time, 35.1 MB
-# at 2^16 and 36.0 MB at 2^17, in about the same time.
-_UNPACK = 1 << 15
+# benchmark jobs took, in all (median of five 25 s benchmark runs on a
+# 2-core AMD EPYC VM, with the process's peak RSS): 0.035 s and 35.30 MB
+# at 2^17 graphs a block, 0.025 s and 35.43 MB at 2^18, and 0.020 s and
+# 35.85 MB at 2^19.  Per-call overhead favours big blocks, while a block's
+# table and unpacked answer grow with it; 2^18 is the largest that stays
+# under the 35.52 MB of 2^17 blocks with tiled low columns.
+_BLOCK = 1 << 18
 
 
 def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1) -> SweepSummary:
@@ -304,11 +294,11 @@ def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1) -> SweepSummary
     cells, and n is capped by SWEEP_BOUND, so the memo is left unbounded.
 
     Each block is tested 64 graphs per machine word (module docstring).
-    On a 2-core Xeon VM (median of three fresh-process runs) the oriented
-    n = 6 sweeps over all 3^15 graphs take 0.05 s (T_3^1), 0.14 s
-    (T_4^1), 0.17 s (T_5^1), 0.10 s (T_2^2), 0.12 s (T_3^2) and 0.09 s
-    (T_2^3); the digraph n = 5 sweeps over all 4^10 graphs take
-    0.003-0.009 s each.
+    On a 2-core AMD EPYC VM (median of five fresh-process runs) the
+    oriented n = 6 sweeps over all 3^15 graphs take 0.015 s (T_3^1),
+    0.033 s (T_4^1), 0.047 s (T_5^1), 0.017 s (T_2^2), 0.034 s (T_3^2)
+    and 0.021 s (T_2^3); the digraph n = 5 sweeps over all 4^10 graphs
+    take 0.0012-0.0026 s each.
 
     Blocks run one after another, in index order: with the earlier
     one-byte-per-graph walk, a thread pool over blocks was slower on
@@ -320,6 +310,7 @@ def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1) -> SweepSummary
         raise ValueError(f"sweep runs serially; threads must be 1, got {threads}")
     require_mode(mode)
     (n,) = _ints((n,), "n", 0)
+    _instance(spec, BlowupSpec, "spec")
     if n > SWEEP_BOUND[mode]:
         raise CapacityError(
             f"naive enumeration is capped at n = {SWEEP_BOUND[mode]} in {mode} mode (got n = {n})"
@@ -331,29 +322,34 @@ def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1) -> SweepSummary
 def _summarise(n: int, mode: str, k: int, t: int) -> SweepSummary:
     """The sweep itself, one summary per (n, mode, k, t), for valid input."""
     hi, lo = _decode_tables(n, mode)
-    hi_cell, lo_cell = hi[1], lo[2]
+    hi_cell, (lo_cell, order) = hi[1], lo[2:]
     hi_rows, lo_rows = hi_cell.shape[0], lo_cell.shape[0]
-    lw = -(-lo_rows // 64)
+    # runs[j]: the first low bit of the j-th low cell.  A run is summed in
+    # pieces of at most 255 bits (cuts; runs[j] is cuts[at[j]]), whose
+    # uint8 sums cannot wrap, so no bit is cast to a wider integer
+    runs = [0, *(np.flatnonzero(lo_cell[1:] != lo_cell[:-1]) + 1).tolist()]
+    cuts = sorted({*runs, *range(0, lo_rows, 255)})
+    at = [cuts.index(r) for r in runs]
     per = min(hi_rows, max(1, _BLOCK // lo_rows))
-    sub = max(1, _UNPACK // lo_rows)
-    lo = _tile(lo, per)
     w = comb(n, 2) + 1
     # first[f2 * w + f1]: the first free graph index with that (f1, f2), or -1
     first = np.full(w * w, -1, np.int64)
     free_count = 0
     for h0 in range(0, hi_rows, per):
         h1 = min(h0 + per, hi_rows)
-        arcs, valid = _block(hi, lo, h0, h1)
-        free = ~_contains_chunk(arcs, valid, k, t)
-        for s0 in range(h0, h1, sub):
-            s1 = min(s0 + sub, h1)
-            # graphs s0 * L .. s1 * L - 1, the padding bits cut off
-            bits = _unpack(free[(s0 - h0) * lw:(s1 - h0) * lw]).reshape(s1 - s0, -1)[:, :lo_rows]
-            cell = np.add.outer(hi_cell[s0:s1], lo_cell)
-            hits = np.bincount(cell[bits], minlength=w * w)
-            free_count += int(hits.sum())
-            for c in np.flatnonzero((hits > 0) & (first < 0)):
-                first[c] = s0 * lo_rows + int(np.argmax(bits & (cell == c)))
+        free = (~_contains_chunk(*_block(hi, lo, h0, h1), k, t)).reshape(h1 - h0, -1)
+        # free graphs per high row and low cell, the padding bits cut off;
+        # the bools die here, before the next block's table is built
+        pieces = np.add.reduceat(_unpack(free).reshape(h1 - h0, -1)[:, :lo_rows].view(np.uint8),
+                                 cuts, axis=1, dtype=np.uint8)
+        counts = np.add.reduceat(pieces, at, axis=1, dtype=np.int64)
+        free_count += int(counts.sum())
+        cell = np.add.outer(hi_cell[h0:h1], lo_cell[runs])
+        new = (counts > 0) & (first[cell] < 0)
+        # a cell's first tally in index order holds its first graph
+        for c in set(cell[new].tolist()):
+            s, j = divmod(int(np.argmax(new & (cell == c))), len(runs))
+            first[c] = (h0 + s) * lo_rows + order[runs[j] + np.argmax(_unpack(free[s])[runs[j]:])]
     # ascending cells, so each f2's last write carries its largest f1
     frontier = {int(c) // w: (int(c) % w, int(first[c])) for c in np.flatnonzero(first >= 0)}
     return SweepSummary(n=n, mode=mode, k=k, t=t, total=_RADIX[mode] ** comb(n, 2),

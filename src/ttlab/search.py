@@ -79,6 +79,7 @@ from .core import (
     Partition,
     Weight,
     WeightedValue,
+    _instance,
     _ints,
     make_dtr,
     pair_list,
@@ -241,8 +242,8 @@ def extremal(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> Extrem
     contains it, so no maximum exists.
     """
     require_mode(mode)
-    if not isinstance(a, Weight):
-        raise ValueError(f"the weight must be a Weight, got {a!r}")
+    _instance(a, Weight, "weight")
+    _instance(spec, BlowupSpec, "spec")
     (n,) = _ints((n,), "n", 0)
     if n > MAX_VERTICES:
         raise CapacityError(f"{n} vertices exceeds the capacity bound {MAX_VERTICES}")
@@ -305,8 +306,7 @@ def extremal_naive(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> 
     witness is the encode-minimal optimum over *all* graphs, and
     `explored` is the full state-space size.
     """
-    if not isinstance(a, Weight):
-        raise ValueError(f"the weight must be a Weight, got {a!r}")
+    _instance(a, Weight, "weight")
     summary = oracle.sweep(n, spec, mode)
     n = summary.n
     if not summary.frontier:

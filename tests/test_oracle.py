@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import gc
+import json
 from functools import cache
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,12 +48,10 @@ def test_graph_from_index_refuses_indices_outside_the_mode():
         graph_from_index(0, DIGRAPH, 1)
 
 
-def fresh_summary(monkeypatch, n, spec, mode, block, unpack=None):
+def fresh_summary(monkeypatch, n, spec, mode, block):
     """A sweep computed afresh, past the memo, over blocks of about
-    `block` graphs, unpacked about `unpack` graphs at a time."""
+    `block` graphs."""
     monkeypatch.setattr(oracle, "_BLOCK", block)
-    if unpack is not None:
-        monkeypatch.setattr(oracle, "_UNPACK", unpack)
     return oracle._summarise.__wrapped__(n, mode, spec.k, spec.t)
 
 
@@ -71,11 +71,9 @@ def test_sweep_frontier_matches_per_graph_recount(monkeypatch, mode, spec):
         summaries = [sweep(n, spec, mode)]
         # a high-table row is 9 or 16 graphs at n = 3 and 27 or 64 at n = 4,
         # so blocks run from less than one word, and from rows that pad to
-        # a whole word, up to the whole sweep; unpacking one row at a time
-        # cuts blocks into several runs
+        # a whole word, up to the whole sweep
         for block in (1, 7, 64, 100, 4096):
-            for unpack in (None, 1, 50):
-                summaries.append(fresh_summary(monkeypatch, n, spec, mode, block, unpack))
+            summaries.append(fresh_summary(monkeypatch, n, spec, mode, block))
         for summary in summaries:
             assert summary.free_count == free
             assert summary.frontier == frontier
@@ -89,25 +87,35 @@ decode_tables = cache(oracle._decode_tables)
 @given(n=st.integers(0, 6), mode=st.sampled_from([DIGRAPH, ORIENTED]), data=st.data())
 def test_block_decode_matches_graph_from_index(n, mode, data):
     hi, lo = decode_tables(n, mode)
-    hi_rows, lo_rows = len(hi[1]), len(lo[2])
+    (_, hi_cell), (_, _, lo_cell, order) = hi, lo
+    hi_rows, lo_rows = len(hi_cell), len(lo_cell)
     g = data.draw(st.integers(0, hi_rows * lo_rows - 1))
     h, l = divmod(g, lo_rows)
+    # bit p of a row is low row order[p]: the low rows come in ascending
+    # cell order, each cell's in ascending index
+    step = np.diff(lo_cell)
+    assert ((step > 0) | ((step == 0) & (np.diff(order) > 0))).all()
+    p = int(np.flatnonzero(order == l)[0])
     h0 = data.draw(st.integers(max(0, h - 3), h))
     h1 = data.draw(st.integers(h + 1, min(hi_rows, h + 4)))
-    # low columns tiled for more rows than the block has, as for a last block
-    tiled = oracle._tile(lo, h1 - h0 + data.draw(st.integers(0, 2)))
-    arcs, valid = oracle._block(hi, tiled, h0, h1)
-    lp = 64 * -(-lo_rows // 64)
-    pos = (h - h0) * lp + l
+    arcs, valid = oracle._block(hi, lo, h0, h1)
+    # a high arc varies over the block's rows only and a low arc over its
+    # words only; broadcast, row h - h0 holds the graphs h * L + order[p]
+    shape = (h1 - h0, -(-lo_rows // 64))
+
+    def bits(col):
+        assert col.shape in ((h1 - h0, 1), (shape[1],))
+        return oracle._unpack(np.broadcast_to(col, shape).copy()).reshape(h1 - h0, -1)
+
     want = graph_from_index(n, mode, g)
     for u in range(n):
         assert arcs[u][u] is None
         for v in range(n):
             if v != u:
-                assert oracle._unpack(arcs[u][v])[pos] == bool(want.out_masks[u] >> v & 1)
-    bits = oracle._unpack(valid).reshape(h1 - h0, lp)
-    assert bits[:, :lo_rows].all() and not bits[:, lo_rows:].any()
-    assert hi[1][h] + lo[2][l] == want.f2 * (comb(n, 2) + 1) + want.f1
+                assert bits(arcs[u][v])[h - h0, p] == bool(want.out_masks[u] >> v & 1)
+    rows = bits(valid)
+    assert rows[:, :lo_rows].all() and not rows[:, lo_rows:].any()
+    assert hi_cell[h] + lo_cell[p] == want.f2 * (comb(n, 2) + 1) + want.f1
 
 
 def packed(n, rows):
@@ -116,12 +124,16 @@ def packed(n, rows):
 
 
 @st.composite
-def blocks(draw):
+def patterns(draw):
     # n = 7 is one past the oriented sweep bound; the uint8 out-columns hold n <= 8
     n = draw(st.integers(0, 7))
-    mode = draw(st.sampled_from([DIGRAPH, ORIENTED]))
     t = draw(st.integers(1, max(1, n // 2)))
-    k = draw(st.integers(1, n // t + 1))
+    return n, draw(st.integers(1, n // t + 1)), t, draw(st.sampled_from([DIGRAPH, ORIENTED]))
+
+
+@st.composite
+def blocks(draw):
+    n, k, t, mode = draw(patterns())
     # rows just under, at and just over a word, with state frequencies
     # drawn afresh so that sparse, dense and digon-heavy blocks all occur
     count = draw(st.sampled_from([1, 63, 64, 65]))
@@ -144,6 +156,43 @@ def test_contains_chunk_matches_backtracker_row_by_row(block):
     assert bits[:len(rows)].tolist() == [contains(Digraph(n, tuple(r)), h) is not None
                                          for r in rows]
     assert not bits[len(rows):].any()  # no padding bit is set
+
+
+@st.composite
+def crossed_blocks(draw):
+    # the first `split` pairs are high and the rest low, as in a sweep
+    n, k, t, mode = draw(patterns())
+    split = draw(st.integers(0, comb(n, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    radix = 4 if mode == DIGRAPH else 3
+    # one high row when no pair is high, as in a sweep
+    hi = rng.integers(0, radix, (draw(st.integers(1, 4)) if split else 1, comb(n, 2)))
+    lo = rng.integers(0, radix, (draw(st.sampled_from([1, 63, 64, 65])), comb(n, 2)))
+    hi[:, split:] = 0
+    lo[:, :split] = 0
+    return n, k, t, split, hi, lo
+
+
+# a block as a sweep gives it: high arcs of shape (rows, 1), low arcs and
+# valid of shape (Lw,), broadcast only where the table mixes them
+@settings(max_examples=300, deadline=None)
+@given(block=crossed_blocks())
+def test_contains_chunk_matches_backtracker_on_crossed_rows(block):
+    n, k, t, split, hi, lo = block
+    lo_arcs, valid = packed(n, lo.tolist())
+    outs = oracle._out_columns(hi.astype(np.uint8), n)
+    arcs = [[None] * n for _ in range(n)]
+    for p, (i, j) in enumerate(oracle.pair_list(n)):
+        for u, v in ((i, j), (j, i)):
+            # a high arc's word is all ones or all zeros, padding bits included
+            arcs[u][v] = (-(outs[u] >> v & 1).astype(np.uint64)[:, None] if p < split
+                          else lo_arcs[u][v])
+    found = oracle._contains_chunk(arcs, valid, k, t)
+    bits = oracle._unpack(found).reshape(len(hi), -1)
+    h = blowup(k, t)
+    assert bits[:, :len(lo)].tolist() == [
+        [contains(Digraph(n, tuple((x + y).tolist())), h) is not None for y in lo] for x in hi]
+    assert not bits[:, len(lo):].any()  # no padding bit is set
 
 
 def test_contains_chunk_leaves_no_garbage():
@@ -180,6 +229,25 @@ def test_oriented_n6_deepest_and_widest_chain_sweeps_are_pinned(spec, free_count
     # (k - 1 = 4 before the count) and T_2^3 the largest t
     summary = sweep(6, spec, ORIENTED)
     assert (summary.total, summary.free_count, summary.frontier) == (3 ** 15, free_count, frontier)
+
+
+def test_every_sweep_matches_the_pinned_matrix(monkeypatch):
+    # (total, free_count, frontier) of every sweep within the bounds, both
+    # modes, k = 1..6 and t = 1..3: witnesses included, a change to the
+    # table or the block layout must leave each one as it is
+    rows = json.loads(Path(__file__).with_name("sweep_matrix.json").read_text())
+    assert sorted((mode, n, k, t) for mode, n, k, t, *_ in rows) == sorted(
+        (mode, n, k, t) for mode in (DIGRAPH, ORIENTED) for n in range(SWEEP_BOUND[mode] + 1)
+        for k in range(1, 7) for t in range(1, 4))
+    pinned = {}
+    for mode, n, k, t, total, free_count, frontier in rows:
+        pinned[mode, n, k, t] = (total, free_count, {f2: (f1, g) for f2, f1, g in frontier})
+        summary = oracle._summarise.__wrapped__(n, mode, k, t)
+        assert (summary.total, summary.free_count, summary.frontier) == pinned[mode, n, k, t]
+    # oriented n = 6 has 2,187 high rows of 3^8 graphs: blocks of 200 rows
+    # leave 187 for the last one
+    summary = fresh_summary(monkeypatch, 6, BlowupSpec(3, 1), ORIENTED, 200 * 3 ** 8)
+    assert (summary.total, summary.free_count, summary.frontier) == pinned[ORIENTED, 6, 3, 1]
 
 
 def test_sweep_is_memoised():
