@@ -79,9 +79,9 @@ def _ints(values, what: str, least: int | None = None) -> tuple[int, ...]:
 
 
 def _instance(value, cls: type, what: str) -> None:
-    """ValueError naming `what` unless value is a `cls`.  Every spec and
-    weight argument of the package is checked here, once, as sizes are in
-    `_ints`."""
+    """ValueError naming `what` unless value is a `cls`.  Every digraph,
+    partition, spec and weight argument of the package is checked here,
+    once, as sizes are in `_ints`."""
     if not isinstance(value, cls):
         raise ValueError(f"the {what} must be a {cls.__name__}, got {value!r}")
 
@@ -511,6 +511,8 @@ class WeightedValue:
 
 def weighted_size(g: Digraph, a: Weight) -> WeightedValue:
     """Weighted size e_a(G) = a*f2(G) + f1(G) as an exactly comparable value."""
+    _instance(g, Digraph, "digraph")
+    _instance(a, Weight, "weight")
     return WeightedValue(g.f1, g.f2, a)
 
 
@@ -525,6 +527,7 @@ def weighted_size(g: Digraph, a: Weight) -> WeightedValue:
 # order on state tuples), which the search module uses for tie-breaking.
 
 def encode(g: Digraph) -> str:
+    _instance(g, Digraph, "digraph")
     digits = "".join(str(s) for s in g.states)
     if g.n <= 1:
         return f"TDG {g.n}"
@@ -543,8 +546,9 @@ def decode(text: str) -> Digraph:
     while end < len(text) and text[end] != " ":
         end += 1
     ntok = text[pos:end]
-    if not (ntok.isascii() and ntok.isdigit()):
-        raise TdgParseError("expected a decimal vertex count", pos)
+    # no leading zero, so a text that decodes is its digraph's encoding
+    if not (ntok.isascii() and ntok.isdigit()) or len(ntok) > 1 and ntok[0] == "0":
+        raise TdgParseError("expected a decimal vertex count without leading zeros", pos)
     n = int(ntok)
     if n > MAX_VERTICES:
         raise CapacityError(f"{n} vertices exceeds the capacity bound {MAX_VERTICES}")

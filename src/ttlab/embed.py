@@ -1,4 +1,4 @@
-"""Subdigraph containment: embeddings, freeness, partition checks.
+"""Subdigraph containment: embeddings and blow-up freeness.
 
 Containment here is ordinary subdigraph containment, never induced: an
 embedding of H into G is an injective vertex map under which every arc of
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import BlowupSpec, CapacityError, Digraph, Partition, _instance, _ints
+from .core import BlowupSpec, CapacityError, Digraph, _instance
 
 COUNT_MAX_VERTICES = 10  # exhaustive embedding counts refuse larger hosts
 
@@ -97,6 +97,8 @@ def contains(g: Digraph, h: Digraph) -> Embedding | None:
     The witness returned is the lexicographically least injective
     arc-preserving map (deterministic across runs).
     """
+    _instance(g, Digraph, "host digraph")
+    _instance(h, Digraph, "pattern digraph")
     image = next(_embeddings(g, h), None)
     return None if image is None else Embedding(tuple(image))
 
@@ -107,6 +109,8 @@ def count_embeddings(g: Digraph, h: Digraph) -> int:
     Hosts above 10 vertices are refused; an H larger than G simply has
     zero embeddings.
     """
+    _instance(g, Digraph, "host digraph")
+    _instance(h, Digraph, "pattern digraph")
     if g.n > COUNT_MAX_VERTICES:
         raise CapacityError(
             f"embedding counts are exhaustive and capped at {COUNT_MAX_VERTICES} host vertices"
@@ -195,6 +199,7 @@ def _chain(out_masks, allowed: int, levels: int, t: int, memo: dict, pending: tu
 
 def is_free(g: Digraph, spec: BlowupSpec) -> bool:
     """True iff G contains no copy of blowup(spec.k, spec.t)."""
+    _instance(g, Digraph, "digraph")
     _instance(spec, BlowupSpec, "spec")
     return not chain_exists(g.out_masks, (1 << g.n) - 1, spec.k, spec.t)
 
@@ -303,15 +308,3 @@ def _ordered_chain(out_masks, regions, suffix, r: int, allowed: int, left: int,
             break
     memo[key] = result
     return result
-
-
-# ======================================================================
-# partitions
-# ======================================================================
-
-def partition_ok(g: Digraph, p: Partition, t: int) -> bool:
-    """True iff every class of P induces a blowup(2, t)-free subdigraph."""
-    if p.n != g.n:
-        raise ValueError(f"partition covers {p.n} vertices, digraph has {g.n}")
-    (t,) = _ints((t,), "t", 1)
-    return not any(chain_exists(g.out_masks, mask, 2, t) for mask in p.class_masks())

@@ -113,9 +113,10 @@ def graph_from_index(n: int, mode: str, index: int) -> Digraph:
     ValueError unless 0 <= index < radix**C(n,2)."""
     require_mode(mode)
     (n,) = _ints((n,), "n", 0)
+    (index,) = _ints((index,), "index", 0)
     radix = _RADIX[mode]
     npairs = comb(n, 2)
-    if not 0 <= index < radix ** npairs:
+    if index >= radix ** npairs:
         raise ValueError(f"need 0 <= index < {radix}^{npairs} in {mode} mode, got {index}")
     digits = []
     for p in range(npairs):

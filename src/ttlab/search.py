@@ -340,6 +340,7 @@ def edit_distance_to_dtr(g: Digraph, r: int) -> EditDistanceResult:
     earlier vertex already in p; the arcs between v and p are two
     popcounts on the part's member mask.
     """
+    _instance(g, Digraph, "digraph")
     (r,) = _ints((r,), "r", 1)
     n = g.n
     if n > EDIT_MAX_VERTICES:

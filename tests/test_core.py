@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttlab import (
@@ -415,11 +415,38 @@ def test_encode_distinguishes_all_small_graphs():
     ("TDG 1 0", 5),
     ("TDG \u00b2 ", 4),  # superscript two: a digit to str.isdigit, not to int()
     ("TDG \u0663 000", 4),  # Arabic-Indic three: int() reads it as 3
+    ("TDG 03 111", 4),  # a leading zero: the encoding of this digraph is "TDG 3 111"
+    ("TDG 00", 4),
+    ("TDG 001", 4),
 ])
 def test_decode_rejects_malformed_text_with_position(text, position):
     with pytest.raises(TdgParseError) as err:
         decode(text)
     assert err.value.position == position
+
+
+@st.composite
+def tdg_texts(draw):
+    """Texts of the form "TDG ", digits, then an optional space and
+    characters from 0123.  Counts up to 7, leading zeros included, come
+    with a state string within one character of the right length, so
+    many texts decode."""
+    count = draw(st.from_regex(r"0{0,2}[0-7]", fullmatch=True) | st.text("0123456789", max_size=3))
+    size = min(math.comb(int(count), 2), 30) if count else 0
+    states = draw(st.text("0123", min_size=max(size - 1, 0), max_size=size + 1))
+    return f"TDG {count}" + draw(st.sampled_from(["", " " + states]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tdg_texts())
+@example("TDG 03 111")
+def test_decoded_text_is_the_encoding(text):
+    """A text that decodes is its digraph's encoding: one digraph, one text."""
+    try:
+        g = decode(text)
+    except (TdgParseError, CapacityError):
+        return
+    assert encode(g) == text
 
 
 def test_decode_refuses_oversized_n():

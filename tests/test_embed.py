@@ -395,7 +395,7 @@ def test_incremental_check_tracks_freeness_along_arc_insertions():
 
 
 # ----------------------------------------------------------------------
-# partitions
+# partitions: census.partition_ok against the embedding search
 # ----------------------------------------------------------------------
 
 def test_partition_ok_known_cases():

@@ -220,17 +220,6 @@ def test_digraph_n5_frontier_cells_decode_to_free_graphs(spec):
         assert is_free(g, spec)
 
 
-@pytest.mark.parametrize("spec, free_count, frontier", [
-    (BlowupSpec(5, 1), 14_192_787, {0: (15, 7_175_263)}),
-    (BlowupSpec(2, 3), 14_334_327, {0: (15, 7_174_480)}),
-], ids=["T_5^1", "T_2^3"])
-def test_oriented_n6_deepest_and_widest_chain_sweeps_are_pinned(spec, free_count, frontier):
-    # no count_free cross-check reaches these: T_5^1 has the most levels
-    # (k - 1 = 4 before the count) and T_2^3 the largest t
-    summary = sweep(6, spec, ORIENTED)
-    assert (summary.total, summary.free_count, summary.frontier) == (3 ** 15, free_count, frontier)
-
-
 def test_every_sweep_matches_the_pinned_matrix(monkeypatch):
     # (total, free_count, frontier) of every sweep within the bounds, both
     # modes, k = 1..6 and t = 1..3: witnesses included, a change to the
