@@ -68,32 +68,17 @@ from .core import (
     NO_ARC,
     ORIENTED,
     BlowupSpec,
-    CapacityError,
     Digraph,
     Partition,
     Weight,
     _instance,
     _ints,
     pair_list,
-    require_mode,
     turan_edges,
 )
 from .embed import chain_exists
 from .orbits import labelled_count
 from .search import PAIR_CHOICES, _free_walk, extremal
-
-
-def _check_census_capacity(n: int, mode: str, what: str) -> int:
-    """n as an int, once the mode is known and n is within the sweep bound."""
-    require_mode(mode)
-    (n,) = _ints((n,), "n", 0)
-    bound = oracle.SWEEP_BOUND[mode]
-    if n > bound:
-        raise CapacityError(
-            f"{what} enumerates all labelled digraphs and is capped at "
-            f"n = {bound} in {mode} mode (got n = {n})"
-        )
-    return n
 
 
 def _free_attachments(out, spec: BlowupSpec, mode: str, found: list | None = None) -> int:
@@ -116,7 +101,7 @@ def count_free(n: int, spec: BlowupSpec, mode: str = DIGRAPH) -> int:
     0.18 s, and T_3^2 at oriented n = 6 (14,346,477 free digraphs, 582
     classes on five vertices) about 0.32 s.
     """
-    n = _check_census_capacity(n, mode, "count_free")
+    n = oracle._sweep_size(n, mode, "count_free")
     _instance(spec, BlowupSpec, "spec")
     total = len(PAIR_CHOICES[mode]) ** len(pair_list(n))
     if spec.k == 1:
@@ -226,7 +211,7 @@ def count_partite(n: int, r: int, t: int, mode: str = DIGRAPH) -> int:
     One call timed in a fresh process, medians of five runs on a shared
     2-core Intel Xeon VM (Python 3.11.7): oriented (6, 3, 1) 0.19 s,
     oriented (6, 1, 2) 0.44 s, digraph (5, 1, 2) 0.13 s."""
-    n = _check_census_capacity(n, mode, "count_partite")
+    n = oracle._sweep_size(n, mode, "count_partite")
     r, t = _ints((r, t), "r and t", 1)
     if n <= r * (2 * t - 1):
         # classes of fewer than 2t vertices cannot hold a copy of T_2^t

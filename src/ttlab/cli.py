@@ -47,15 +47,15 @@ package's own .py files, so a cache written by other code is never
 replayed; graph files enter the key by content (their TDG string), not
 by path.  Entries are write-once JSON files <key>.json, never modified.
 A store writes <key>.json.<pid>.<thread id>.tmp, a name unique per live
-writer that the cache never reads, and renames it into place.  Beside
-the record, an entry holds a seal: the SHA-256 of the key and the
-record's canonical serialisation.  A hit replays the stored record byte
-for byte (including the original runtime_ms), but only if the seal
-matches the key asked for and the record read back; an entry edited in
-any way (another query's record, a missing field, a changed result)
-warns on stderr and the result is computed afresh.  The record itself
-does not carry the source hash.  An unwritable cache directory is a
-warning, never a failure.
+writer that the cache never reads, and renames it into place.  An
+entry holds two fields, the record and its seal: the SHA-256 of the key
+and the record's canonical serialisation.  A hit replays the stored
+record byte for byte (including the original runtime_ms), but only if
+the seal matches the key asked for and the record read back; an entry
+edited in any way (another query's record, a missing field, a changed
+result) warns on stderr and the result is computed afresh.  The record
+itself does not carry the source hash.  An unwritable cache directory
+is a warning, never a failure.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ import os
 import sys
 import threading
 from contextlib import suppress
-from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
 from time import perf_counter
@@ -155,8 +154,7 @@ def cache_store(key: str, record: dict, cache_dir: str) -> None:
         os.makedirs(cache_dir, exist_ok=True)
         if os.path.exists(path):
             return
-        payload = {"key": key, "created_at": datetime.now(timezone.utc).isoformat(),
-                   "record": record, "seal": _seal(key, record)}
+        payload = {"record": record, "seal": _seal(key, record)}
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(payload, sort_keys=True))
         os.replace(tmp, path)

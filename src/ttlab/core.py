@@ -3,7 +3,7 @@
 Conventions used throughout the package
 ---------------------------------------
 * Vertices are the integers 0..n-1, with n <= 16 (capacity bound; larger n
-  raises CapacityError).
+  raises CapacityError, from `_vertex_count` only).
 * A digraph is stored as one state per unordered pair {i, j} with i < j,
   listed in lexicographic order (0,1), (0,2), ..., (0,n-1), (1,2), ...
   A state is two arc bits: the arc i -> j is present iff s & FWD, the arc
@@ -78,6 +78,17 @@ def _ints(values, what: str, least: int | None = None) -> tuple[int, ...]:
     return ints
 
 
+def _vertex_count(n, what: str = "the vertex count") -> int:
+    """n as an int; ValueError naming `what` unless it is an integer of
+    at least 0, CapacityError above MAX_VERTICES.  Every entry point that
+    builds a digraph on n vertices calls this first, before it allocates
+    anything, so the vertex bound is checked here and nowhere else."""
+    (n,) = _ints((n,), what, 0)
+    if n > MAX_VERTICES:
+        raise CapacityError(f"{n} vertices exceeds the capacity bound {MAX_VERTICES}")
+    return n
+
+
 def _instance(value, cls: type, what: str) -> None:
     """ValueError naming `what` unless value is a `cls`.  Every digraph,
     partition, spec and weight argument of the package is checked here,
@@ -103,21 +114,17 @@ def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
-@functools.lru_cache(maxsize=None)
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    return {p: k for k, p in enumerate(pair_list(n))}
-
-
 def pair_index(n: int, i: int, j: int) -> int:
     """Index of the unordered pair {i, j} in the canonical order;
-    ValueError unless i and j are distinct vertices of 0..n-1."""
+    ValueError unless i and j are distinct vertices of 0..n-1.  The
+    pairs before it are the n - 1 - a pairs (a, b) of each a < i, then
+    the j - i - 1 pairs (i, b) with b < j."""
     n, i, j = _ints((n, i, j), "n and the vertices")
     if i > j:
         i, j = j, i
-    index = _pair_index(n).get((i, j))
-    if index is None:
+    if not 0 <= i < j < n:
         raise ValueError(f"need two distinct vertices in 0..{n - 1}, got ({i}, {j})")
-    return index
+    return i * (2 * n - i - 3) // 2 + j - 1
 
 
 # ======================================================================
@@ -137,9 +144,7 @@ class Digraph:
     __slots__ = ("n", "states", "out_masks", "in_masks", "f1", "f2", "_hash")
 
     def __init__(self, n: int, states: tuple[int, ...] = ()):
-        (n,) = _ints((n,), "the vertex count", 0)
-        if n > MAX_VERTICES:
-            raise CapacityError(f"{n} vertices exceeds the capacity bound {MAX_VERTICES}")
+        n = _vertex_count(n)
         states = _ints(states, "pair states")
         if len(states) != comb(n, 2):
             raise ValueError(f"need {comb(n, 2)} pair states for n={n}, got {len(states)}")
@@ -166,13 +171,13 @@ class Digraph:
 
     @classmethod
     def empty(cls, n: int) -> "Digraph":
-        (n,) = _ints((n,), "the vertex count", 0)
+        n = _vertex_count(n)
         return cls(n, (NO_ARC,) * comb(n, 2))
 
     @classmethod
     def from_arcs(cls, n: int, arcs) -> "Digraph":
         """Build a digraph from an iterable of (u, v) arcs, u -> v."""
-        (n,) = _ints((n,), "the vertex count", 0)
+        n = _vertex_count(n)
         states = [NO_ARC] * comb(n, 2)
         for u, v in arcs:
             if u == v or not (0 <= u < n and 0 <= v < n):
@@ -286,10 +291,7 @@ class BlowupSpec:
 
 def blowup(k: int, t: int) -> Digraph:
     """The blow-up digraph of BlowupSpec(k, t), vertices level-major."""
-    spec = BlowupSpec(k, t)  # validates k, t >= 1
-    n = spec.vertex_count
-    if n > MAX_VERTICES:
-        raise CapacityError(f"blow-up on {n} vertices exceeds capacity {MAX_VERTICES}")
+    n = _vertex_count(BlowupSpec(k, t).vertex_count)  # validates k, t >= 1
     states = tuple(
         FWD if i // t < j // t else NO_ARC
         for i, j in pair_list(n)
@@ -297,28 +299,32 @@ def blowup(k: int, t: int) -> Digraph:
     return Digraph(n, states)
 
 
-def turan_part_sizes(n: int, r: int) -> list[int]:
-    """Balanced part sizes for an r-partition of n vertices, larger first."""
+def _balanced(n: int, r: int) -> tuple[int, int, int, int]:
+    """(n, r, q, rem) as ints, n = q * r + rem: the balanced r-partition
+    of n vertices has rem parts of q + 1 vertices, then r - rem of q."""
     (n,) = _ints((n,), "n", 0)
     (r,) = _ints((r,), "r", 1)
-    q, rem = divmod(n, r)
+    return (n, r, *divmod(n, r))
+
+
+def turan_part_sizes(n: int, r: int) -> list[int]:
+    """Balanced part sizes for an r-partition of n vertices, larger first."""
+    n, r, q, rem = _balanced(n, r)
     return [q + 1] * rem + [q] * (r - rem)
 
 
 def turan_edges(n: int, r: int) -> int:
     """Edge count t_r(n) of the balanced complete r-partite graph."""
-    sizes = turan_part_sizes(n, r)
-    return comb(sum(sizes), 2) - sum(comb(s, 2) for s in sizes)
+    n, r, q, rem = _balanced(n, r)
+    return comb(n, 2) - rem * comb(q + 1, 2) - (r - rem) * comb(q, 2)
 
 
 def make_dtr(n: int, r: int) -> Digraph:
     """Bidirected Turan digraph: balanced complete r-partite, every edge a
     digon.  Parts are consecutive vertex blocks, larger parts first, so
     the construction (and its encoding) is canonical."""
+    n = _vertex_count(n, "n")
     part = turan_partition(n, r).assign
-    n = len(part)
-    if n > MAX_VERTICES:
-        raise CapacityError(f"{n} vertices exceeds the capacity bound {MAX_VERTICES}")
     states = tuple(
         BOTH if part[i] != part[j] else NO_ARC
         for i, j in pair_list(n)
@@ -327,12 +333,10 @@ def make_dtr(n: int, r: int) -> Digraph:
 
 
 def turan_partition(n: int, r: int) -> "Partition":
-    """The partition underlying make_dtr(n, r): consecutive blocks."""
-    sizes = turan_part_sizes(n, r)
-    assign = []
-    for p, s in enumerate(sizes):
-        assign.extend([p] * s)
-    return Partition(r, tuple(assign))
+    """The partition underlying make_dtr(n, r): consecutive blocks.  The
+    parts past the first n are empty, so only min(r, n) are walked."""
+    n, r, q, rem = _balanced(n, r)
+    return Partition(r, tuple(p for p in range(min(r, n)) for _ in range(q + (p < rem))))
 
 
 @dataclass(frozen=True)
@@ -549,9 +553,7 @@ def decode(text: str) -> Digraph:
     # no leading zero, so a text that decodes is its digraph's encoding
     if not (ntok.isascii() and ntok.isdigit()) or len(ntok) > 1 and ntok[0] == "0":
         raise TdgParseError("expected a decimal vertex count without leading zeros", pos)
-    n = int(ntok)
-    if n > MAX_VERTICES:
-        raise CapacityError(f"{n} vertices exceeds the capacity bound {MAX_VERTICES}")
+    n = _vertex_count(int(ntok))
     npairs = comb(n, 2)
     if npairs == 0:
         if end != len(text):

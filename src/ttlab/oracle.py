@@ -50,7 +50,8 @@ low rows in ascending index, so the first index kept for each cell is
 its smallest.
 
 Capacity: oriented mode up to n = 6, digraph mode up to n = 5.  Above
-that the sweep refuses rather than grind.
+that the sweep refuses rather than grind, and so do the censuses, which
+check the same bound through `_sweep_size`.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from .core import (
     Digraph,
     _instance,
     _ints,
+    _vertex_count,
     pair_list,
     require_mode,
 )
@@ -102,7 +104,7 @@ def iter_digraphs(n: int, mode: str = DIGRAPH):
     Pure-python companion to the numpy sweep, for small-n cross-checks.
     """
     require_mode(mode)
-    (n,) = _ints((n,), "n", 0)
+    n = _vertex_count(n, "n")
     radix = _RADIX[mode]
     for states in product(range(radix), repeat=comb(n, 2)):
         yield Digraph(n, states)
@@ -112,7 +114,7 @@ def graph_from_index(n: int, mode: str, index: int) -> Digraph:
     """The digraph numbered `index` in the given mode (module docstring);
     ValueError unless 0 <= index < radix**C(n,2)."""
     require_mode(mode)
-    (n,) = _ints((n,), "n", 0)
+    n = _vertex_count(n, "n")
     (index,) = _ints((index,), "index", 0)
     radix = _RADIX[mode]
     npairs = comb(n, 2)
@@ -309,14 +311,23 @@ def sweep(n: int, spec: BlowupSpec, mode: str, threads: int = 1) -> SweepSummary
     threads=1."""
     if threads != 1:
         raise ValueError(f"sweep runs serially; threads must be 1, got {threads}")
+    n = _sweep_size(n, mode, "naive enumeration")
+    _instance(spec, BlowupSpec, "spec")
+    return _summarise(n, mode, spec.k, spec.t)
+
+
+def _sweep_size(n: int, mode: str, what: str) -> int:
+    """n as an int, once mode is a mode and n is within SWEEP_BOUND[mode];
+    CapacityError naming `what` above it.  `sweep` and both censuses
+    check the bound here and nowhere else, so every count the censuses
+    give has its sweep."""
     require_mode(mode)
     (n,) = _ints((n,), "n", 0)
-    _instance(spec, BlowupSpec, "spec")
     if n > SWEEP_BOUND[mode]:
         raise CapacityError(
-            f"naive enumeration is capped at n = {SWEEP_BOUND[mode]} in {mode} mode (got n = {n})"
-        )
-    return _summarise(n, mode, spec.k, spec.t)
+            f"{what} is capped at the sweep bound, n = {SWEEP_BOUND[mode]} in {mode} mode "
+            f"(got n = {n})")
+    return n
 
 
 @cache

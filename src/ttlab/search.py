@@ -70,7 +70,6 @@ from .core import (
     BWD,
     DIGRAPH,
     FWD,
-    MAX_VERTICES,
     NO_ARC,
     ORIENTED,
     BlowupSpec,
@@ -79,12 +78,13 @@ from .core import (
     Partition,
     Weight,
     WeightedValue,
+    _balanced,
     _instance,
     _ints,
+    _vertex_count,
     make_dtr,
     pair_list,
     require_mode,
-    turan_part_sizes,
 )
 from .embed import arc_completes_blowup
 
@@ -244,9 +244,7 @@ def extremal(n: int, spec: BlowupSpec, a: Weight, mode: str = DIGRAPH) -> Extrem
     require_mode(mode)
     _instance(a, Weight, "weight")
     _instance(spec, BlowupSpec, "spec")
-    (n,) = _ints((n,), "n", 0)
-    if n > MAX_VERTICES:
-        raise CapacityError(f"{n} vertices exceeds the capacity bound {MAX_VERTICES}")
+    n = _vertex_count(n, "n")
     if spec.k < 2:
         raise ValueError("forbidding a k=1 blow-up leaves no free digraphs to maximise over")
 
@@ -347,13 +345,15 @@ def edit_distance_to_dtr(g: Digraph, r: int) -> EditDistanceResult:
         raise CapacityError(
             f"edit distance enumerates partitions and is capped at {EDIT_MAX_VERTICES} vertices"
         )
-    sizes = turan_part_sizes(n, r)
+    _, _, q, rem = _balanced(n, r)
+    # the parts past the first n stay empty, so only min(r, n) are searched
+    sizes = [q + (p < rem) for p in range(min(r, n))]
     out, inn = g.out_masks, g.in_masks
     cross = [2 * v - (out[v] & ((1 << v) - 1)).bit_count() - (inn[v] & ((1 << v) - 1)).bit_count()
              for v in range(n)]
     best: int | None = None
     best_members: list[int] | None = None
-    members = [0] * r
+    members = [0] * len(sizes)
 
     def place(v: int, cost: int):
         nonlocal best, best_members
@@ -362,12 +362,12 @@ def edit_distance_to_dtr(g: Digraph, r: int) -> EditDistanceResult:
         if v == n:
             best, best_members = cost, members.copy()
             return
-        for p in range(r):
+        for p in range(len(sizes)):
             m = members[p]
             k = m.bit_count()
             if k == sizes[p]:
                 continue
-            if m == 0 and any(sizes[q] == sizes[p] and members[q] == 0 for q in range(p)):
+            if m == 0 and any(sizes[e] == sizes[p] and members[e] == 0 for e in range(p)):
                 continue  # identical empty parts are interchangeable
             delta = cross[v] + 2 * ((out[v] & m).bit_count() + (inn[v] & m).bit_count() - k)
             members[p] = m | 1 << v
@@ -376,5 +376,5 @@ def edit_distance_to_dtr(g: Digraph, r: int) -> EditDistanceResult:
 
     place(0, 0)
     assert best is not None and best_members is not None
-    assign = tuple(p for v in range(n) for p in range(r) if best_members[p] >> v & 1)
+    assign = tuple(p for v in range(n) for p, m in enumerate(best_members) if m >> v & 1)
     return EditDistanceResult(r=r, distance=best, partition=Partition(r, assign))

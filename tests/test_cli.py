@@ -228,6 +228,10 @@ def test_domain_errors_exit_one(tmp_path, capsys):
     code, _, err = invoke(capsys, "ex", "--n", "4", "--k", "1", "--t", "1")
     assert code == 1
 
+    # refused before the partition is built
+    code, _, err = invoke(capsys, "gen", "dtr", "--n", "18446744073709551616", "--r", "2")
+    assert code == 1 and "error:" in err
+
     code, _, err = invoke(capsys, "ex", "--n", "4", "--k", "3", "--t", "1",
                           "--weight", "3/2")
     assert code == 1 and "weight" in err
@@ -318,21 +322,22 @@ def test_corrupt_cache_entry_is_ignored_with_warning(tmp_path, capsys):
     query = ("gen", "dtr", "--n", "3", "--r", "2")
     invoke(capsys, *query, "--cache-dir", str(cache))
     entry = cache / os.listdir(cache)[0]
-    key = entry.name[:-len(".json")]
     sealed = json.loads(entry.read_text())
+    assert set(sealed) == {"record", "seal"}
     stored = sealed["record"]
     other = json.loads(invoke(capsys, "gen", "dtr", "--n", "4", "--r", "2",
                               "--format", "json")[1])
     fresh = {fmt: invoke(capsys, *query, "--format", fmt)[1] for fmt in ("text", "json", "csv")}
     # text that is not JSON, then JSON of the wrong shape: not a dict, a
-    # record missing fields, a record that is not a dict, another key, a
-    # well-formed record of another query, and this entry's own record
+    # record missing fields and one that is not a dict (both unsealed),
+    # this record sealed under another key, a well-formed record of
+    # another query under this entry's seal, and this entry's own record
     # with its result edited (emptied, or another graph) under its seal
     payloads = ["not json at all", "[]",
-                json.dumps({"key": key, "created_at": "", "record": {"command": "gen"}}),
-                json.dumps({"key": key, "created_at": "", "record": []}),
-                json.dumps({"key": "0" * 64, "created_at": "", "record": stored}),
-                json.dumps({"key": key, "created_at": "", "record": other}),
+                json.dumps({"record": {"command": "gen"}}),
+                json.dumps({"record": []}),
+                json.dumps({"record": stored, "seal": cli._seal("0" * 64, stored)}),
+                json.dumps({"record": other, "seal": sealed["seal"]}),
                 json.dumps({**sealed, "record": {**stored, "result": {}}}),
                 json.dumps({**sealed, "record": {
                     **stored, "result": {**stored["result"], "encoding": "TDG 3 000"}}})]

@@ -1,6 +1,7 @@
 """Every name a ttlab module imports is used in that module, every
-private module-level name is used somewhere in the package, and the
-oracle imports no ttlab module but `core`.
+private module-level name is used somewhere in the package, the oracle
+imports no ttlab module but `core`, and each capacity bound is checked
+in one function.
 
 No linter ships with the project, so this reads each module's syntax
 tree: a name bound by an import statement must appear somewhere in the
@@ -13,7 +14,9 @@ the independent check on `embed`, `search` and `census`, so it may not
 import them, directly or through the package.  `orbits`, the class loop
 that census takes, imports no ttlab module at all: `census` owns the
 attachment walk of each family, so the loop stays family-agnostic and
-shares no code with the oracle.
+shares no code with the oracle.  Each row of the README "Capacity
+bounds" table is raised as CapacityError by one function, and only the
+two functions that own the vertex and sweep bounds read them.
 """
 
 from __future__ import annotations
@@ -143,3 +146,63 @@ def test_orbits_imports_only_the_search_side():
     # route shares no code with the oracle's labelled route
     source = (SRC / "orbits.py").read_text(encoding="utf-8")
     assert package_imports(source) == set()
+
+
+def _nodes_by_function(source: str):
+    """(where, node) for every node of the module, where being the dotted
+    name of the innermost function or class around it ("" at module
+    level)."""
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            yield where, child
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{where}.{child.name}".lstrip("."))
+            else:
+                yield from visit(child, where)
+    return visit(ast.parse(source), "")
+
+
+def _named(node: ast.AST) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def capacity_raises(sources: dict[str, str]) -> list[str]:
+    """module:function of each `raise CapacityError`, once per raise."""
+    found = []
+    for module, source in sorted(sources.items()):
+        for where, node in _nodes_by_function(source):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if _named(exc) == "CapacityError":
+                    found.append(f"{module}:{where}")
+    return found
+
+
+def bound_readers(sources: dict[str, str]) -> set[str]:
+    """module:function of each read of MAX_VERTICES or SWEEP_BOUND."""
+    return {f"{module}:{where}" for module, source in sources.items()
+            for where, node in _nodes_by_function(source)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and not isinstance(node.ctx, ast.Store)
+            and _named(node) in ("MAX_VERTICES", "SWEEP_BOUND")}
+
+
+def test_capacity_raises_finds_each_raise():
+    sources = {"a.py": "class D:\n    def __init__(self, n):\n        if n > MAX_VERTICES:\n"
+                       "            raise CapacityError(n)\n"
+                       "def f(n):\n    def g():\n        raise core.CapacityError\n"
+                       "    raise ValueError(n)\nraise CapacityError\n"}
+    assert capacity_raises(sources) == ["a.py:D.__init__", "a.py:f.g", "a.py:"]
+    assert bound_readers(sources) == {"a.py:D.__init__"}
+
+
+# the one function that raises each row of the README "Capacity bounds"
+# table (the sweep bound serves three rows)
+CAPACITY_OWNERS = ["container.py:density_m", "core.py:_vertex_count", "embed.py:count_embeddings",
+                   "oracle.py:_sweep_size", "search.py:edit_distance_to_dtr"]
+
+
+def test_each_capacity_bound_is_raised_by_one_function():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert capacity_raises(sources) == CAPACITY_OWNERS
+    assert bound_readers(sources) == {"core.py:_vertex_count", "oracle.py:_sweep_size"}
