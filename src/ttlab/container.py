@@ -4,11 +4,27 @@ For a pattern H with at least two arcs,
 
     m(H) = max (e(H') - 1) / (v(H') - 2)
 
-over subgraphs H' of H with e(H') > 1.  For a fixed vertex set the ratio
-is maximised by keeping every arc, so the search ranges over vertex
-subsets of size >= 3 with all arcs of H between them.  (Vertex sets of
-size 2 cannot qualify: a blow-up is oriented, so two vertices carry at
-most one arc.)  All arithmetic is exact rational.
+over subgraphs H' of H with e(H') > 1.  For a blow-up H = T_k^t the
+whole pattern is the one maximiser, so m(H) = (e(H) - 1) / (v(H) - 2)
+in closed form.  All arithmetic is exact rational.
+
+Why the whole pattern wins.  For a fixed vertex set the ratio is largest
+with every arc of H kept, and two vertices carry at most one arc, so
+only vertex sets S of s >= 3 vertices compete, and k >= 2.  Say S has
+c_p vertices on level p.  Then
+
+    e(S) = sum_{p<q} c_p c_q = (s^2 - sum_p c_p^2) / 2 <= s^2 (k-1) / (2k).
+
+If S is not all of V(H), its least-filled level has at most s/k < t
+vertices; adding a vertex there adds d = s - min_p c_p >= s (k-1) / k
+arcs.  The ratio (e - 1) / (s - 2) rises to (e + d - 1) / (s - 1) iff
+d (s - 2) > e - 1.  For s >= 4, d (s - 2) >= s^2 (k-1) / (2k) >= e, so
+it rises.  For s = 3, e <= 3 and d >= 2 >= e - 1, so it does not fall,
+and it stays level only for a transitive triangle of T_3^t, t >= 2,
+whose growth goes on past s = 4.  So growing any proper S one vertex at
+a time to V(H) ends at a strictly larger ratio.  tests/test_container.py
+checks this on every blow-up within the vertex bound, over all
+per-level counts.
 
 The counting exponent attached to m(H) is 2 - 1/m(H): the number of
 H-free digraphs on N vertices is controlled by container families of
@@ -20,12 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import log
 
-from .core import BlowupSpec, CapacityError, Digraph, _instance, _ints, encode
-
-DENSITY_MAX_VERTICES = 10  # vertex-subset enumeration cap (k*t above this refused)
+from .core import BlowupSpec, Digraph, _instance, _ints
 
 
 @dataclass(frozen=True)
@@ -45,49 +58,18 @@ class ContainerBound:
 
 
 def density_m(spec: BlowupSpec) -> DensityResult:
-    """Exact m(H) for H = blowup(spec.k, spec.t), with a densest subgraph.
-
-    Ties break toward smaller vertex sets, then toward the encode-minimal
-    induced subgraph.  Patterns with fewer than two arcs (k = 1, or
-    k = 2 with t = 1) have no qualifying subgraph and are refused.
+    """Exact m(H) for H = blowup(spec.k, spec.t), with its densest
+    subgraph, which is H itself (see the module docstring).  Patterns
+    past the vertex bound raise CapacityError; patterns with fewer than
+    two arcs (k = 1, or k = 2 with t = 1) have no qualifying subgraph
+    and raise ValueError.
     """
     _instance(spec, BlowupSpec, "spec")
-    if spec.vertex_count > DENSITY_MAX_VERTICES:
-        raise CapacityError(
-            f"density enumerates vertex subsets and is capped at "
-            f"{DENSITY_MAX_VERTICES} pattern vertices (got {spec.vertex_count})"
-        )
+    h = spec.realize()
     if spec.arc_count < 2:
         raise ValueError(f"m(H) is undefined for {spec}: the pattern has {spec.arc_count} arc(s)")
-
-    h = spec.realize()
-    t = spec.t
-    best: Fraction | None = None
-    best_size = -1
-    best_sub: tuple[int, ...] | None = None
-    best_enc = ""
-
-    # sizes ascending, subsets in lex order: the first maximiser found has
-    # the smallest vertex set, and within a size the least encoding wins
-    for size in range(3, h.n + 1):
-        for sub in combinations(range(h.n), size):
-            per_level = [0] * spec.k
-            for v in sub:
-                per_level[v // t] += 1
-            e = (size * size - sum(c * c for c in per_level)) // 2
-            if e < 2:
-                continue
-            ratio = Fraction(e - 1, size - 2)
-            if best is None or ratio > best:
-                best, best_size, best_sub = ratio, size, sub
-                best_enc = encode(h.induced(sub))
-            elif ratio == best and size == best_size:
-                enc = encode(h.induced(sub))
-                if enc < best_enc:
-                    best_sub, best_enc = sub, enc
-
-    assert best is not None and best_sub is not None  # e(H) >= 2 guarantees a hit
-    return DensityResult(spec=spec, m=best, argmax_subgraph=h.induced(best_sub))
+    m = Fraction(spec.arc_count - 1, spec.vertex_count - 2)
+    return DensityResult(spec=spec, m=m, argmax_subgraph=h)
 
 
 def container_exponent(n: int, spec: BlowupSpec) -> ContainerBound:

@@ -74,8 +74,19 @@ def _ints(values, what: str, least: int | None = None) -> tuple[int, ...]:
     except TypeError as exc:
         raise ValueError(f"{what} must be integers: {exc}") from None
     if least is not None and min(ints) < least:
-        raise ValueError(f"{what} must be at least {least}, got {', '.join(map(str, ints))}")
+        raise ValueError(f"{what} must be at least {least}, got {', '.join(map(_shown, ints))}")
     return ints
+
+
+def _shown(n: int) -> str:
+    """n in decimal for a message or, where Python refuses to print it
+    (past sys.get_int_max_str_digits() digits), the power of two its
+    size passes, so a huge size is refused with its own message too."""
+    try:
+        return str(n)
+    except ValueError:
+        b = abs(n).bit_length() - 1
+        return f"2**{b} or more" if n > 0 else f"-2**{b} or less"
 
 
 def _vertex_count(n, what: str = "the vertex count") -> int:
@@ -85,7 +96,7 @@ def _vertex_count(n, what: str = "the vertex count") -> int:
     anything, so the vertex bound is checked here and nowhere else."""
     (n,) = _ints((n,), what, 0)
     if n > MAX_VERTICES:
-        raise CapacityError(f"{n} vertices exceeds the capacity bound {MAX_VERTICES}")
+        raise CapacityError(f"{_shown(n)} vertices exceeds the capacity bound {MAX_VERTICES}")
     return n
 
 
@@ -180,8 +191,7 @@ class Digraph:
         n = _vertex_count(n)
         states = [NO_ARC] * comb(n, 2)
         for u, v in arcs:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"bad arc ({u}, {v}) for n={n}")
+            # pair_index refuses non-integer, equal or out-of-range vertices
             states[pair_index(n, u, v)] |= FWD if u < v else BWD
         return cls(n, tuple(states))
 
@@ -221,15 +231,15 @@ class Digraph:
 
     def with_pair(self, i: int, j: int, state: int) -> "Digraph":
         """Copy of this digraph with pair {i, j} (i < j) set to `state`."""
-        if not (0 <= i < j < self.n):
-            raise ValueError(f"need 0 <= i < j < {self.n}, got ({i}, {j})")
-        k = pair_index(self.n, i, j)
+        k = pair_index(self.n, i, j)  # refuses non-integer, equal or out-of-range vertices
+        if i > j:
+            raise ValueError(f"need i < j, got ({i}, {j})")
         return Digraph(self.n, self.states[:k] + (state,) + self.states[k + 1:])
 
     def induced(self, vertices) -> "Digraph":
         """Induced subdigraph on a strictly increasing vertex sequence,
         relabelled to 0..len(vertices)-1 in the same order."""
-        vs = tuple(vertices)
+        vs = _ints(vertices, "vertices")
         if any(not 0 <= v < self.n for v in vs) or any(a >= b for a, b in zip(vs, vs[1:])):
             raise ValueError("vertices must be strictly increasing and in range")
         m = len(vs)
@@ -252,7 +262,7 @@ class Digraph:
         return self._hash
 
     def __repr__(self):
-        return f"Digraph.decode({encode(self)!r})"
+        return f"decode({encode(self)!r})"
 
 
 # ======================================================================
@@ -360,16 +370,16 @@ class Partition:
         return len(self.assign)
 
     def classes(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.r)]
+        """The vertices of classes 0..max(assign); the classes after the
+        last nonempty one are empty and not listed, so r costs nothing."""
+        out: list[list[int]] = [[] for _ in range(max(self.assign, default=-1) + 1)]
         for v, c in enumerate(self.assign):
             out[c].append(v)
         return out
 
     def class_masks(self) -> list[int]:
-        masks = [0] * self.r
-        for v, c in enumerate(self.assign):
-            masks[c] |= 1 << v
-        return masks
+        """One vertex mask per class of `classes()`."""
+        return [sum(1 << v for v in c) for c in self.classes()]
 
 
 # ======================================================================
@@ -408,6 +418,7 @@ class Weight:
     @classmethod
     def parse(cls, token: str) -> "Weight":
         """Parse a CLI weight token: '2', 'log3', or 'p/q'."""
+        _instance(token, str, "weight text")
         token = token.strip()
         if token == "log3":
             return cls.log2_3()
@@ -541,6 +552,7 @@ def encode(g: Digraph) -> str:
 def decode(text: str) -> Digraph:
     """Inverse of encode.  Raises TdgParseError (with a character
     position) on malformed input, CapacityError when n > 16."""
+    _instance(text, str, "text")
     if not text.startswith("TDG"):
         raise TdgParseError("expected 'TDG' header", 0)
     if len(text) < 4 or text[3] != " ":
@@ -553,7 +565,11 @@ def decode(text: str) -> Digraph:
     # no leading zero, so a text that decodes is its digraph's encoding
     if not (ntok.isascii() and ntok.isdigit()) or len(ntok) > 1 and ntok[0] == "0":
         raise TdgParseError("expected a decimal vertex count without leading zeros", pos)
-    n = _vertex_count(int(ntok))
+    try:
+        n = int(ntok)
+    except ValueError:  # more digits than Python converts
+        raise TdgParseError("the vertex count has too many digits", pos) from None
+    n = _vertex_count(n)
     npairs = comb(n, 2)
     if npairs == 0:
         if end != len(text):

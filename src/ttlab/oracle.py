@@ -71,6 +71,7 @@ from .core import (
     Digraph,
     _instance,
     _ints,
+    _shown,
     _vertex_count,
     pair_list,
     require_mode,
@@ -326,7 +327,7 @@ def _sweep_size(n: int, mode: str, what: str) -> int:
     if n > SWEEP_BOUND[mode]:
         raise CapacityError(
             f"{what} is capped at the sweep bound, n = {SWEEP_BOUND[mode]} in {mode} mode "
-            f"(got n = {n})")
+            f"(got n = {_shown(n)})")
     return n
 
 

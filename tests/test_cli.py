@@ -116,6 +116,13 @@ def test_mh_csv_row(capsys):
     assert cells[0] == "mh" and cells[3] == "2" and cells[4] == "3/2"
 
 
+def test_mh_answers_up_to_the_vertex_bound(capsys):
+    code, out, _ = invoke(capsys, "mh", "--k", "4", "--t", "3")
+    assert code == 0 and out.splitlines()[0] == "m: 53/10"
+    code, _, err = invoke(capsys, "mh", "--k", "17", "--t", "1")
+    assert code == 1 and "error:" in err
+
+
 def test_editdist_roundtrip_through_file(tmp_path, capsys):
     graph = tmp_path / "h.tdg"
     graph.write_text("TDG 4 011110\n")

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from ttlab import (
+    MAX_VERTICES,
     BlowupSpec,
     CapacityError,
     blowup,
@@ -70,13 +71,38 @@ def test_density_grows_with_the_pattern():
     assert values[0] == 2
 
 
+# every blow-up within the vertex bound that has at least two arcs
+SPECS = [BlowupSpec(k, t) for k in range(2, MAX_VERTICES + 1)
+         for t in range(1, MAX_VERTICES // k + 1) if (k, t) != (2, 1)]
+
+
+def test_the_whole_pattern_is_strictly_densest():
+    """Exhaustive reference for the closed form: a vertex set is fixed,
+    up to an automorphism, by how many vertices it takes from each level,
+    so every count vector c in {0..t}^k stands for the sets it counts.
+    No proper one reaches (e(H) - 1) / (v(H) - 2)."""
+    assert len(SPECS) == 33
+    for spec in SPECS:
+        k, t = spec.k, spec.t
+        v, e = k * t, spec.arc_count
+        result = density_m(spec)
+        assert result.m == Fraction(e - 1, v - 2)
+        assert result.argmax_subgraph == blowup(k, t)
+        for counts in product(range(t + 1), repeat=k):
+            s = sum(counts)
+            arcs = (s * s - sum(c * c for c in counts)) // 2
+            if arcs >= 2 and s < v:  # s >= 3 follows from two arcs
+                assert (arcs - 1) * (v - 2) < (e - 1) * (s - 2), (spec, counts)
+
+
 def test_density_refuses_degenerate_patterns():
     with pytest.raises(ValueError):
         density_m(BlowupSpec(2, 1))  # one arc
     with pytest.raises(ValueError):
         density_m(BlowupSpec(1, 4))  # no arcs
-    with pytest.raises(CapacityError):
-        density_m(BlowupSpec(4, 3))  # 12 pattern vertices
+    assert density_m(BlowupSpec(4, 3)).m == Fraction(53, 10)  # 12 pattern vertices
+    with pytest.raises(CapacityError, match="vertices exceeds the capacity bound 16"):
+        density_m(BlowupSpec(6, 3))  # 18 pattern vertices
 
 
 def test_density_is_deterministic():

@@ -394,6 +394,12 @@ def test_decode_inverts_encode_on_random_graphs():
         assert decode(encode(g)) == g
 
 
+def test_repr_evaluates_back_to_the_digraph():
+    for g in (Digraph.empty(0), Digraph.empty(1), make_dtr(5, 2), blowup(3, 2)):
+        assert repr(g) == f"decode({encode(g)!r})"
+        assert eval(repr(g), {"decode": decode}) == g
+
+
 def test_encode_distinguishes_all_small_graphs():
     seen = set()
     for states in __import__("itertools").product(range(4), repeat=3):

@@ -1,17 +1,17 @@
 """Every size argument of the public entry points (n, k, r and t) is
 checked the same way: numpy integers and bools are taken as the integers
 they equal, and a float, a string or a value below the least one allowed
-raises ValueError.  So does a digraph, partition, spec or weight
-argument that is not a Digraph, Partition, BlowupSpec or Weight, at
-every entry point that takes one.
+raises ValueError.  So does a digraph, partition, spec, weight, vertex
+or text argument that is not a Digraph, Partition, BlowupSpec, Weight,
+integer or str, at every entry point that takes one.
 
 A size past a capacity bound raises CapacityError, with the bound's one
 message, before any work: just past the bound and far past it (2**64,
-which an allocation sized by n could not even index).  A huge r answers
-as r = n does, as the parts past the first n are empty.  The huge sizes
-run in a child process under an address-space limit, so a check that
-came too late would fail there with MemoryError instead of taking the
-machine's memory.
+which an allocation sized by n could not even index, and 10**5000, which
+Python refuses to print).  A huge r answers as r = n does, as the parts
+past the first n are empty.  The huge sizes run in a child process
+under an address-space limit, so a check that came too late would fail
+there with MemoryError instead of taking the machine's memory.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from ttlab import (
     count_free,
     count_free_naive,
     count_partite,
+    decode,
     density_m,
     edit_distance_to_dtr,
     encode,
@@ -52,6 +53,7 @@ from ttlab import (
     is_free,
     lower_bound_partite,
     make_dtr,
+    pair_index,
     pair_list,
     partition_ok,
     ratio_report,
@@ -70,18 +72,29 @@ WEIGHT = "weight"
 SPEC = "spec"
 GRAPH = "digraph"
 PARTITION = "partition"
+VERTEX = "vertices"
+TEXT = "text"
 # per kind of argument: wrong values, each refused with a message naming the kind
 BAD = {
     WEIGHT: (2, Fraction(2), "2", None),
     SPEC: (3, (3, 1), "T_3^1", None),
     GRAPH: ("TDG 2 1", None),
     PARTITION: ((0, 0, 1, 1), None),
+    VERTEX: ("1", 1.0, None),
+    TEXT: (None, b"TDG 2 1", 2),
 }
 
 # name -> (call, valid arguments, per argument: the least size allowed,
 # a key of BAD, or None when the argument is not checked here)
 ENTRY_POINTS = {
     "pair_list": (pair_list, (3,), (0,)),
+    "pair_index": (pair_index, (3, 0, 1), (None, VERTEX, VERTEX)),
+    "Digraph.has_arc": (G.has_arc, (0, 1), (VERTEX, VERTEX)),
+    "Digraph.with_pair": (G.with_pair, (0, 1, 1), (VERTEX, VERTEX, None)),
+    "Digraph.induced": (G.induced, ((0, 1),), (VERTEX,)),
+    "Digraph.from_arcs arc": (lambda u, v: Digraph.from_arcs(3, [(u, v)]), (0, 1), (VERTEX, VERTEX)),
+    "decode": (decode, ("TDG 2 1",), (TEXT,)),
+    "Weight.parse": (Weight.parse, ("7/4",), (TEXT,)),
     "Digraph": (Digraph, (1, ()), (0, None)),
     "Digraph.empty": (Digraph.empty, (2,), (0,)),
     "Digraph.from_arcs": (Digraph.from_arcs, (2, ()), (0, None)),
@@ -173,6 +186,8 @@ CAPACITY = {
     "lower_bound_partite(n, 1, 1)": VERTEX_BOUND,
     "graph_from_index(n, 'digraph', 0)": VERTEX_BOUND,
     "next(iter_digraphs(n))": VERTEX_BOUND,
+    "density_m(BlowupSpec(n, 1))": VERTEX_BOUND,
+    "container_exponent(10, BlowupSpec(n, 1))": VERTEX_BOUND,
     **{call.replace("MODE", repr(mode)): (SWEEP_BOUND[mode], "is capped at the sweep bound")
        for mode in (DIGRAPH, ORIENTED)
        for call in ("sweep(n, BlowupSpec(3, 1), MODE)", "count_free(n, BlowupSpec(3, 1), MODE)",
@@ -181,18 +196,35 @@ CAPACITY = {
                     "extremal_naive(n, BlowupSpec(3, 1), Weight.rational(2), MODE)",
                     "ratio_report(n, 2, 1, MODE)")},
 }
-HUGE = 2 ** 64
-WIDE_R = 10 ** 9
+# the huge sizes, as the text the child evaluates: str refuses to print
+# the second, so a call that writes n as text (decode's) takes only the
+# first, and LONG_COUNTS gives decode a count of more digits than int reads
+HUGE = ("2 ** 64", "10 ** 5000")
+WIDE_R = "10 ** 9"
 # calls of a part count r: at r = WIDE_R each answers as at r = n = 4
 WIDE = ("turan_edges(4, r)", "turan_partition(4, r).assign", "encode(make_dtr(4, r))",
         "edit_distance_to_dtr(blowup(2, 2), r).distance",
         "edit_distance_to_dtr(blowup(2, 2), r).partition.assign",
-        "ratio_report(4, r, 1).ratio", "ratio_report(4, r, 1).lower_bound")
-# calls with no bound on n, and what they return at n = HUGE
+        "ratio_report(4, r, 1).ratio", "ratio_report(4, r, 1).lower_bound",
+        "partition_ok(make_dtr(4, 2), Partition(r, (0, 0, 1, 1)), 1)",
+        "Partition(r, (0, 0, 1, 1)).classes()")
+# calls with no bound on n, and what they return at n = 2**64
 UNBOUNDED = {"pair_index(n, 0, 1)": "0",
-             "pair_index(n, n - 1, n - 2)": repr(HUGE * (HUGE - 1) // 2 - 1)}
+             "pair_index(n, n - 1, n - 2)": repr(2 ** 64 * (2 ** 64 - 1) // 2 - 1)}
+# calls of a digit count n, and what they raise at n = LONG
+LONG = "5000"
+LONG_COUNTS = {"decode('TDG ' + '9' * n)":
+               "TdgParseError: the vertex count has too many digits (position 4)"}
+
+
+def huge_sizes(call):
+    return HUGE[:1] if "str(n)" in call else HUGE
+
+
 # (call, the name it takes a size by, the size)
-GUARDED = ([(call, "n", HUGE) for call in (*CAPACITY, *UNBOUNDED)]
+GUARDED = ([(call, "n", size) for call in CAPACITY for size in huge_sizes(call)]
+           + [(call, "n", HUGE[0]) for call in UNBOUNDED]
+           + [(call, "n", LONG) for call in LONG_COUNTS]
            + [(call, "r", WIDE_R) for call in WIDE])
 GUARD_BYTES = 2 << 30  # address space of the guarded child
 GUARD_SECONDS = 60  # and its CPU time
@@ -208,7 +240,7 @@ import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, ({GUARD_BYTES}, {GUARD_BYTES}))
 resource.setrlimit(resource.RLIMIT_CPU, ({GUARD_SECONDS}, {GUARD_SECONDS}))
 for call, name, size in json.load(sys.stdin):
-    print(json.dumps([call, size, outcome(call, {{name: size}})]), flush=True)
+    print(json.dumps([call, size, outcome(call, {{name: eval(size)}})]), flush=True)
 """
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -221,7 +253,8 @@ for call, name, size in json.load(sys.stdin):
 @pytest.mark.parametrize("call", CAPACITY)
 def test_every_capacity_bound_is_checked_before_any_work(call, guarded):
     bound, message = CAPACITY[call]
-    for result in (outcome(call, {"n": bound + 1}), guarded.get((call, HUGE))):
+    huge = [guarded.get((call, size)) for size in huge_sizes(call)]
+    for result in (outcome(call, {"n": bound + 1}), *huge):
         assert result is not None and result.startswith("CapacityError: ") and message in result, result
 
 
@@ -232,4 +265,9 @@ def test_parts_past_n_are_never_listed(call, guarded):
 
 @pytest.mark.parametrize("call", UNBOUNDED)
 def test_pair_index_needs_no_table(call, guarded):
-    assert guarded.get((call, HUGE)) == UNBOUNDED[call]
+    assert guarded.get((call, HUGE[0])) == UNBOUNDED[call]
+
+
+@pytest.mark.parametrize("call", LONG_COUNTS)
+def test_a_count_past_the_digits_int_reads_is_refused_as_text(call, guarded):
+    assert guarded.get((call, LONG)) == LONG_COUNTS[call]
